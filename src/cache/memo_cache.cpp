@@ -6,7 +6,8 @@
 namespace fpopt {
 
 std::size_t approx_entry_bytes(const NodeResult& result) {
-  std::size_t b = sizeof(MemoCache::Entry);
+  std::size_t b = sizeof(CacheKey) + sizeof(NodeResult) + sizeof(NodeProfileRecord) +
+                  sizeof(std::size_t);
   b += result.rlist.size() * sizeof(RectImpl);
   b += result.rprov.size() * sizeof(Prov);
   for (const LList& list : result.lset.lists()) {
@@ -32,10 +33,10 @@ const MemoCache::Entry* MemoCache::peek(const CacheKey& key) const {
   return it == map_.end() ? nullptr : &*it->second;
 }
 
-void MemoCache::insert(const CacheKey& key, NodeResult result,
+void MemoCache::insert(const CacheKey& key, std::shared_ptr<const NodeResult> result,
                        const NodeProfileRecord& profile) {
   if (const auto it = map_.find(key); it != map_.end()) erase(it->second);
-  const std::size_t entry_bytes = approx_entry_bytes(result);
+  const std::size_t entry_bytes = approx_entry_bytes(*result);
   lru_.push_front(Entry{key, std::move(result), profile, entry_bytes});
   map_.emplace(key, lru_.begin());
   bytes_ += entry_bytes;

@@ -3,12 +3,14 @@
 // An entry stores one T' node's complete NodeResult (R-list / irreducible
 // L-set with provenance) together with the node's *memory and stats
 // profile* — the net stored delta it leaves behind, its intra-node peaks,
-// and its additive stats counters. Serving a hit therefore replaces the
-// combine/selection kernels with a copy, while the engine replays the
-// recorded profile through the serial-postorder budget model, so an
-// incremental run reports byte-identical stats (including peak_live) and
-// makes the identical out-of-memory decision a scratch run would
-// (docs/ALGORITHMS.md §8).
+// and its additive stats counters. The result is immutable and held by a
+// shared handle, so serving a hit replaces the combine/selection kernels
+// with a reference count bump: the run's artifacts share the entry's
+// lists, and keep them alive if the entry is later evicted. The engine
+// replays the recorded profile through the serial-postorder budget model,
+// so an incremental run reports byte-identical stats (including
+// peak_live) and makes the identical out-of-memory decision a scratch run
+// would (docs/ALGORITHMS.md §8).
 //
 // Eviction is LRU under a byte budget. Epochs support speculative
 // workloads (the annealing loop): insertions made between begin_epoch()
@@ -27,6 +29,7 @@
 
 #include <cstddef>
 #include <list>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -64,10 +67,11 @@ struct MemoCacheStats {
 };
 
 /// One cached node: the key, the complete NodeResult, and the recorded
-/// memory/stats profile the serial-replay budget model consumes.
+/// memory/stats profile the serial-replay budget model consumes. Copying
+/// an entry shares its result.
 struct CacheEntry {
   CacheKey key;
-  NodeResult result;
+  std::shared_ptr<const NodeResult> result;
   NodeProfileRecord profile;
   std::size_t bytes = 0;
 };
@@ -85,8 +89,9 @@ class CacheView {
   /// insert / rollback / clear on this view.
   [[nodiscard]] virtual const CacheEntry* find(const CacheKey& key) = 0;
 
-  /// Insert (or overwrite) an entry.
-  virtual void insert(const CacheKey& key, NodeResult result,
+  /// Insert (or overwrite) an entry. The view keeps `result` as given,
+  /// sharing it with whoever else holds the handle.
+  virtual void insert(const CacheKey& key, std::shared_ptr<const NodeResult> result,
                       const NodeProfileRecord& profile) = 0;
 
   /// Probe/insert counters of this view (a session reports its own
@@ -116,7 +121,7 @@ class MemoCache : public CacheView {
   /// Insert (or overwrite) an entry, then evict least-recently-used
   /// entries until the byte budget holds again (the fresh entry itself is
   /// never evicted by its own insertion).
-  void insert(const CacheKey& key, NodeResult result,
+  void insert(const CacheKey& key, std::shared_ptr<const NodeResult> result,
               const NodeProfileRecord& profile) override;
 
   /// Fold a committed session's probe traffic into this store's stats
@@ -159,7 +164,9 @@ class MemoCache : public CacheView {
   MemoCacheStats stats_;
 };
 
-/// Approximate heap footprint of one entry (used for the byte budget).
+/// Approximate heap footprint of one entry holding `result` (used for the
+/// byte budget): the entry's fields with the result itself counted in
+/// place of its handle, plus the result's lists.
 [[nodiscard]] std::size_t approx_entry_bytes(const NodeResult& result);
 
 }  // namespace fpopt

@@ -46,42 +46,31 @@ const CacheEntry* CacheSession::find(const CacheKey& key) {
   assert(open_ && "CacheSession was already committed / rolled back");
   if (const auto it = index_.find(key); it != index_.end()) {
     ++stats_.hits;
-    return it->second.entry;
+    return &it->second.entry;
   }
-  CacheEntry copy;
-  if (!shared_->lookup(key, copy)) {
+  CacheEntry fetched;
+  if (!shared_->lookup(key, fetched)) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  entries_.push_back(std::move(copy));
-  CacheEntry* stored = &entries_.back();
-  index_.emplace(key, Slot{stored, false});
-  return stored;
+  return &index_.emplace(key, Slot{std::move(fetched), false}).first->second.entry;
 }
 
-void CacheSession::insert(const CacheKey& key, NodeResult result,
+void CacheSession::insert(const CacheKey& key, std::shared_ptr<const NodeResult> result,
                           const NodeProfileRecord& profile) {
   assert(open_ && "CacheSession was already committed / rolled back");
-  const std::size_t entry_bytes = approx_entry_bytes(result);
+  const std::size_t entry_bytes = approx_entry_bytes(*result);
   ++stats_.insertions;
-  if (const auto it = index_.find(key); it != index_.end()) {
-    // Overwrite in place; the slot becomes provisional if it was a
-    // fetched copy (the session recomputed the node, so its version wins
-    // at commit time).
-    CacheEntry& e = *it->second.entry;
-    e.result = std::move(result);
-    e.profile = profile;
-    e.bytes = entry_bytes;
-    if (!it->second.provisional) {
-      it->second.provisional = true;
-      insert_order_.push_back(key);
-    }
-    return;
+  // A new key, or an overwrite in place. A fetched slot becomes
+  // provisional: the session recomputed the node, so its version wins at
+  // commit time.
+  Slot& slot = index_.try_emplace(key).first->second;
+  slot.entry = CacheEntry{key, std::move(result), profile, entry_bytes};
+  if (!slot.provisional) {
+    slot.provisional = true;
+    insert_order_.push_back(key);
   }
-  entries_.push_back(CacheEntry{key, std::move(result), profile, entry_bytes});
-  index_.emplace(key, Slot{&entries_.back(), true});
-  insert_order_.push_back(key);
 }
 
 void CacheSession::commit() {
@@ -92,10 +81,9 @@ void CacheSession::commit() {
   for (const CacheKey& key : insert_order_) {
     const auto it = index_.find(key);
     assert(it != index_.end() && it->second.provisional);
-    inserts.push_back(std::move(*it->second.entry));
+    inserts.push_back(std::move(it->second.entry));
   }
   shared_->commit(std::move(inserts), stats_.hits, stats_.misses);
-  entries_.clear();
   index_.clear();
   insert_order_.clear();
 }
@@ -103,7 +91,6 @@ void CacheSession::commit() {
 void CacheSession::rollback() {
   assert(open_ && "CacheSession commit/rollback is one-shot");
   open_ = false;
-  entries_.clear();
   index_.clear();
   insert_order_.clear();
 }

@@ -7,11 +7,13 @@
 // (memo_cache.h begin/commit/rollback) to per-request isolation:
 //
 //  * find() serves the session's own provisional inserts first, then
-//    falls back to a locked peek of the shared store. Peeks copy the
-//    entry into session-owned storage (the engine's pointer contract
-//    survives concurrent mutation of the store) and deliberately touch
-//    neither the shared stats nor the LRU order — shared state never
-//    observes a request until that request commits.
+//    falls back to a locked peek of the shared store. A peek copies the
+//    entry's handle, not its lists, into session-owned storage: the
+//    engine's pointer contract survives concurrent mutation of the store,
+//    and a result the store evicts stays alive for as long as the session
+//    or the run's artifacts hold it. Peeks deliberately touch neither the
+//    shared stats nor the LRU order — shared state never observes a
+//    request until that request commits.
 //  * insert() is provisional: the entry lands in the session overlay,
 //    invisible to every other session.
 //  * commit() publishes the overlay into the shared store atomically, in
@@ -29,7 +31,7 @@
 #pragma once
 
 #include <cstddef>
-#include <list>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -48,8 +50,9 @@ class SharedMemoCache {
   SharedMemoCache(const SharedMemoCache&) = delete;
   SharedMemoCache& operator=(const SharedMemoCache&) = delete;
 
-  /// Copy the committed entry for `key` into `out`. Returns false on
-  /// miss. Mutates nothing — not the stats, not the LRU order.
+  /// Copy the committed entry for `key` into `out`; `out` shares the
+  /// entry's result. Returns false on miss. Mutates nothing — not the
+  /// stats, not the LRU order.
   [[nodiscard]] bool lookup(const CacheKey& key, CacheEntry& out) const;
 
   /// Atomically publish one session: its provisional entries in insertion
@@ -76,13 +79,13 @@ class CacheSession final : public CacheView {
  public:
   explicit CacheSession(SharedMemoCache& shared) : shared_(&shared) {}
 
-  /// Own provisional inserts and earlier fetches first, then a copying
-  /// peek of the shared store. Hits/misses count into the session stats
-  /// only until commit().
+  /// Own provisional inserts and earlier fetches first, then a peek of
+  /// the shared store. Hits/misses count into the session stats only
+  /// until commit().
   [[nodiscard]] const CacheEntry* find(const CacheKey& key) override;
 
   /// Provisional insert into the session overlay.
-  void insert(const CacheKey& key, NodeResult result,
+  void insert(const CacheKey& key, std::shared_ptr<const NodeResult> result,
               const NodeProfileRecord& profile) override;
 
   /// Request-local traffic: what this session's run probed and inserted.
@@ -99,18 +102,16 @@ class CacheSession final : public CacheView {
 
  private:
   struct Slot {
-    CacheEntry* entry = nullptr;
-    bool provisional = false;  ///< overlay insert (vs a fetched shared copy)
+    CacheEntry entry;
+    bool provisional = false;  ///< overlay insert (vs a fetched shared entry)
   };
 
   SharedMemoCache* shared_;
-  /// Stable storage for everything find() ever returned: fetched copies
-  /// of shared entries and provisional inserts alike (std::list so
-  /// pointers survive growth).
-  std::list<CacheEntry> entries_;
-  /// Key -> slot. Audited for iteration-order leaks (rule
-  /// unordered-iter): only find/emplace/clear — commit order comes from
-  /// insert_order_, a plain vector.
+  /// Key -> everything find() ever returned: fetched shared entries and
+  /// provisional inserts alike. Map nodes never move, so the pointers
+  /// find() hands out survive rehashing. Audited for iteration-order
+  /// leaks (rule unordered-iter): only find/emplace/try_emplace/clear —
+  /// commit order comes from insert_order_, a plain vector.
   std::unordered_map<CacheKey, Slot, CacheKeyHash> index_;
   std::vector<CacheKey> insert_order_;  ///< provisional keys, oldest first
   MemoCacheStats stats_;

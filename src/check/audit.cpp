@@ -22,12 +22,12 @@ std::string node_where(const BinaryNode& node) {
 }
 
 /// Check one node's stored lists and provenance; recurses over T'.
-void audit_node(const BinaryNode& node, const std::vector<NodeResult>& nodes, bool cross_list,
+void audit_node(const BinaryNode& node, const OptimizeArtifacts& art, bool cross_list,
                 CheckResult& checks, std::size_t& nodes_checked) {
-  if (node.left) audit_node(*node.left, nodes, cross_list, checks, nodes_checked);
-  if (node.right) audit_node(*node.right, nodes, cross_list, checks, nodes_checked);
-  if (node.id >= nodes.size()) return;  // already reported by check_tree
-  const NodeResult& res = nodes[node.id];
+  if (node.left) audit_node(*node.left, art, cross_list, checks, nodes_checked);
+  if (node.right) audit_node(*node.right, art, cross_list, checks, nodes_checked);
+  if (node.id >= art.nodes.size()) return;  // already reported by check_tree
+  const NodeResult& res = *art.nodes[node.id];
   const std::string where = node_where(node);
   ++nodes_checked;
 
@@ -99,7 +99,7 @@ AuditReport audit_optimize(const FloorplanTree& tree, const AuditOptions& opts) 
   report.checks.merge(check_tree(art.btree, tree));
 
   const bool cross_list = opts.optimizer.l_pruning != LPruning::PerChain;
-  audit_node(*art.btree.root, art.nodes, cross_list, report.checks, report.nodes_checked);
+  audit_node(*art.btree.root, art, cross_list, report.checks, report.nodes_checked);
 
   // The published result: root list irreducible, best area re-derivable.
   report.root_impls = outcome.root.size();
@@ -121,7 +121,8 @@ AuditReport audit_optimize(const FloorplanTree& tree, const AuditOptions& opts) 
   if (opts.certificate_samples > 0) {
     std::vector<std::pair<std::size_t, const RList*>> rlists;
     std::vector<std::pair<std::size_t, const LList*>> llists;
-    for (const NodeResult& res : art.nodes) {
+    for (const auto& node : art.nodes) {
+      const NodeResult& res = *node;
       if (res.is_l) {
         for (const LList& list : res.lset.lists()) {
           if (list.size() >= 3) llists.emplace_back(list.size(), &list);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "floorplan/restructure.h"
@@ -32,7 +33,10 @@ struct NodeResult {
 /// Everything needed to trace an optimal implementation back to rooms.
 struct OptimizeArtifacts {
   BinaryTree btree;
-  std::vector<NodeResult> nodes;  ///< by BinaryNode::id
+  /// By BinaryNode::id. A node's result is immutable once stored, so a
+  /// node served from the memo cache shares the cache entry's result
+  /// instead of copying it.
+  std::vector<std::shared_ptr<const NodeResult>> nodes;
 };
 
 }  // namespace fpopt

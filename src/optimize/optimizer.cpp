@@ -52,7 +52,7 @@ class NodeEvaluator {
     span.set_children(node.left ? static_cast<std::int64_t>(node.left->id) : -1,
                       node.right ? static_cast<std::int64_t>(node.right->id) : -1);
     ++stats_.nodes_evaluated;
-    NodeResult& res = art_.nodes[node.id];
+    NodeResult res;
     switch (node.op) {
       case BinaryOp::LeafModule: {
         const RList& impls = tree_.module(node.module_id).impls;
@@ -87,17 +87,18 @@ class NodeEvaluator {
         break;
     }
     span.set_arg(res.is_l ? res.lset.total_size() : res.rlist.size());
+    art_.nodes[node.id] = std::make_shared<NodeResult>(std::move(res));
   }
 
  private:
   [[nodiscard]] const RList& rect_of(const BinaryNode& child) const {
-    const NodeResult& res = art_.nodes[child.id];
+    const NodeResult& res = *art_.nodes[child.id];
     assert(!res.is_l);
     return res.rlist;
   }
 
   [[nodiscard]] const LListSet& lset_of(const BinaryNode& child) const {
-    const NodeResult& res = art_.nodes[child.id];
+    const NodeResult& res = *art_.nodes[child.id];
     assert(res.is_l);
     return res.lset;
   }
@@ -357,9 +358,9 @@ class CacheBinding {
         keys_(derive_node_keys(art.btree, tree, opts)),
         served_(art.btree.node_count, 0) {}
 
-  /// Probe every internal node; copy hits into the artifacts and load
-  /// their recorded profiles (leaves are always evaluated — they are a
-  /// plain copy of the module library anyway).
+  /// Probe every internal node; share hits' results with the artifacts
+  /// and load their recorded profiles (leaves are always evaluated — they
+  /// are a plain copy of the module library anyway).
   void serve(const FlatTree& flat, OptimizeArtifacts& art, std::vector<NodeProfile>& profiles) {
     telemetry::TraceSpan span(telemetry::TraceCat::kCache, "serve_pass");
     std::uint64_t hits = 0;
@@ -386,7 +387,10 @@ class CacheBinding {
 
   [[nodiscard]] bool served(std::size_t id) const { return served_[id] != 0; }
 
-  /// Publish the freshly computed nodes of a successful run.
+  /// Publish the freshly computed nodes of a successful run. Each entry
+  /// gets its own copy of the node: the evaluator's lists grew by
+  /// push_back and may carry spare capacity the byte budget does not
+  /// charge, while a copy holds exactly its elements.
   void publish(const FlatTree& flat, const OptimizeArtifacts& art,
                const std::vector<NodeProfile>& profiles) {
     telemetry::TraceSpan span(telemetry::TraceCat::kCache, "publish_pass");
@@ -396,7 +400,7 @@ class CacheBinding {
       telemetry::trace_instant(telemetry::TraceCat::kCache, "memo_publish", id);
       ++published;
       const NodeProfile& prof = profiles[id];
-      cache_.insert(keys_[id], art.nodes[id],
+      cache_.insert(keys_[id], std::make_shared<NodeResult>(*art.nodes[id]),
                     NodeProfileRecord{prof.stats, prof.net_stored, prof.peak_stored,
                                       prof.peak_transient, prof.peak_total,
                                       prof.subtree_net});
@@ -684,7 +688,7 @@ OptimizeOutcome optimize_floorplan(const FloorplanTree& tree, const OptimizerOpt
       }
       if (owned) outcome.pool_stats = owned->stats();
     }
-    const NodeResult& root = artifacts->nodes[artifacts->btree.root->id];
+    const NodeResult& root = *artifacts->nodes[artifacts->btree.root->id];
     outcome.root = root.rlist;
     outcome.best_area = root.rlist[root.rlist.min_area_index()].area();
     outcome.artifacts = std::move(artifacts);

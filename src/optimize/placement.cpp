@@ -30,7 +30,7 @@ class Tracer {
   /// (room is always at least as large as the implementation; the
   /// recursion decides which child room absorbs the slack).
   void assign_rect(const BinaryNode& node, std::size_t impl_idx, PlacedRect room) {
-    const NodeResult& res = art_.nodes[node.id];
+    const NodeResult& res = *art_.nodes[node.id];
     assert(!res.is_l);
     const RectImpl impl = res.rlist[impl_idx];
     assert(room.w >= impl.w && room.h >= impl.h);
@@ -43,14 +43,14 @@ class Tracer {
       case BinaryOp::SliceV: {
         // Left child keeps its exact width; the right child absorbs the
         // horizontal slack; both stretch to the full room height.
-        const RectImpl left = art_.nodes[node.left->id].rlist[prov.left];
+        const RectImpl left = art_.nodes[node.left->id]->rlist[prov.left];
         assign_rect(*node.left, prov.left, {room.x, room.y, left.w, room.h});
         assign_rect(*node.right, prov.right,
                     {room.x + left.w, room.y, room.w - left.w, room.h});
         return;
       }
       case BinaryOp::SliceH: {
-        const RectImpl left = art_.nodes[node.left->id].rlist[prov.left];
+        const RectImpl left = art_.nodes[node.left->id]->rlist[prov.left];
         assign_rect(*node.left, prov.left, {room.x, room.y, room.w, left.h});
         assign_rect(*node.right, prov.right,
                     {room.x, room.y + left.h, room.w, room.h - left.h});
@@ -59,7 +59,7 @@ class Tracer {
       case BinaryOp::WheelClose: {
         // Child L keeps its exact (w2, h2); the Top module's room is the
         // remaining notch [w2, W] x [h2, H] and absorbs both slacks.
-        const LImpl* l = art_.nodes[node.left->id].find_l(prov.left);
+        const LImpl* l = art_.nodes[node.left->id]->find_l(prov.left);
         assert(l != nullptr);
         const std::size_t first_room = rooms_.size();
         assign_l(*node.left, prov.left, {room.x, room.y, room.w, l->w2, room.h, l->h2});
@@ -85,7 +85,7 @@ class Tracer {
   /// whose Center room absorbs the difference; t.w1 >= impl.w1,
   /// t.h1 >= impl.h1, and t.h1 - t.h2 >= impl.h1 - impl.h2.
   void assign_l(const BinaryNode& node, std::uint32_t entry_id, LTarget t) {
-    const NodeResult& res = art_.nodes[node.id];
+    const NodeResult& res = *art_.nodes[node.id];
     assert(res.is_l);
     const LImpl* me = res.find_l(entry_id);
     assert(me != nullptr);
@@ -104,7 +104,7 @@ class Tracer {
       case BinaryOp::WheelFillNotch: {
         // Center room sits on the child's bottom strip, right of the
         // column, and absorbs all slack of the notch region.
-        const LImpl* child = art_.nodes[node.left->id].find_l(prov.left);
+        const LImpl* child = art_.nodes[node.left->id]->find_l(prov.left);
         assert(child != nullptr);
         assign_l(*node.left, prov.left, {t.x, t.y, t.w1, t.w2, t.h1, child->h2});
         assign_rect(*node.right, prov.right,
@@ -115,7 +115,7 @@ class Tracer {
         // Right column keeps its exact width, pinned to the right edge,
         // spanning the full bottom-strip height.
         assert(t.h2 == me->h2);
-        const RectImpl c = art_.nodes[node.right->id].rlist[prov.right];
+        const RectImpl c = art_.nodes[node.right->id]->rlist[prov.right];
         assign_l(*node.left, prov.left, {t.x, t.y, t.w1 - c.w, t.w2, t.h1, t.h2});
         assign_rect(*node.right, prov.right, {t.x + t.w1 - c.w, t.y, c.w, t.h2});
         return;

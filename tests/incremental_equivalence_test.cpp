@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache_key.h"
 #include "cache/memo_cache.h"
 #include "optimize/artifact_dump.h"
 #include "optimize/optimizer.h"
@@ -206,6 +207,49 @@ TEST(IncrementalEquivalence, CacheStateIsIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(summaries[0], summaries[1]);
   EXPECT_EQ(summaries[0], summaries[2]);
+}
+
+/// The internal nodes of the subtree at `node`, in postorder.
+void collect_internal(const BinaryNode& node, std::vector<const BinaryNode*>& out) {
+  if (node.is_leaf()) return;
+  collect_internal(*node.left, out);
+  collect_internal(*node.right, out);
+  out.push_back(&node);
+}
+
+TEST(IncrementalEquivalence, WarmRunSharesServedResultsWithTheCache) {
+  // A hit is served by reference: after a warm run every internal node's
+  // result is the cache entry's own object, not a copy of it. A cold run
+  // publishes copies, so the entries never alias the run's artifacts.
+  const std::vector<Module> modules = some_modules(10, 808);
+  const FloorplanTree tree = PolishExpr::initial(modules.size()).to_tree(modules);
+  OptimizerOptions opts;
+  opts.selection.k1 = 6;
+  opts.selection.k2 = 8;
+  opts.impl_budget = 0;
+  const std::string want_dump = dump_outcome(tree, scratch_run(tree, opts, 0));
+
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{8}}) {
+    MemoCache cache;
+    const OptimizeOutcome cold = incremental_run(tree, opts, cache, threads);
+    const OptimizeOutcome warm = incremental_run(tree, opts, cache, threads);
+    ASSERT_FALSE(warm.out_of_memory);
+    EXPECT_EQ(dump_outcome(tree, warm), want_dump) << "threads " << threads;
+
+    const OptimizeArtifacts& art = *warm.artifacts;
+    const std::vector<CacheKey> keys = derive_node_keys(art.btree, tree, opts);
+    std::vector<const BinaryNode*> internal;
+    collect_internal(*art.btree.root, internal);
+    ASSERT_FALSE(internal.empty());
+    for (const BinaryNode* node : internal) {
+      const CacheEntry* entry = cache.peek(keys[node->id]);
+      ASSERT_NE(entry, nullptr) << "node " << node->id;
+      EXPECT_EQ(art.nodes[node->id].get(), entry->result.get())
+          << "node " << node->id << " threads " << threads << ": served by copy";
+      EXPECT_NE(cold.artifacts->nodes[node->id].get(), entry->result.get())
+          << "node " << node->id << " threads " << threads << ": published without a copy";
+    }
+  }
 }
 
 TEST(IncrementalEquivalence, IdenticallyShapedModulesShareLeafKeys) {

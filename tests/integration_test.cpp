@@ -50,8 +50,8 @@ TEST(BudgetAccountingTest, FinalStoredEqualsTheSumOfRetainedLists) {
     const OptimizeOutcome out = optimize_floorplan(tree, opts);
     ASSERT_FALSE(out.out_of_memory);
     std::size_t total = 0;
-    for (const NodeResult& res : out.artifacts->nodes) {
-      total += res.is_l ? res.lset.total_size() : res.rlist.size();
+    for (const auto& res : out.artifacts->nodes) {
+      total += res->is_l ? res->lset.total_size() : res->rlist.size();
     }
     EXPECT_EQ(out.stats.final_stored, total) << "k1=" << k1;
     EXPECT_GE(out.stats.peak_stored, out.stats.final_stored);

@@ -3,12 +3,15 @@
 // the cache-key derivation rules the incremental engine relies on.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <random>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_key.h"
@@ -25,14 +28,15 @@ CacheKey key_of(std::uint64_t n) { return CacheKey{n, ~n}; }
 /// An entry whose R-list has `impls` implementations (so entries have a
 /// predictable relative byte footprint).
 MemoCache::Entry make_payload(std::size_t impls) {
-  MemoCache::Entry e;
-  e.result.is_l = false;
+  NodeResult result;
   std::vector<RectImpl> candidates;
   for (std::size_t i = 0; i < impls; ++i) {
     candidates.push_back({static_cast<Dim>(i + 1), static_cast<Dim>(impls - i + 1)});
   }
-  e.result.rlist = RList::from_candidates(candidates);
-  e.result.rprov.resize(e.result.rlist.size());
+  result.rlist = RList::from_candidates(candidates);
+  result.rprov.resize(result.rlist.size());
+  MemoCache::Entry e;
+  e.result = std::make_shared<NodeResult>(std::move(result));
   e.profile.net_stored = impls;
   return e;
 }
@@ -47,7 +51,7 @@ TEST(MemoCacheTest, FindReturnsInsertedEntry) {
   insert(cache, 1, 7);
   const MemoCache::Entry* e = cache.find(key_of(1));
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->result.rlist.size(), 7u);
+  EXPECT_EQ(e->result->rlist.size(), 7u);
   EXPECT_EQ(e->profile.net_stored, 7u);
   EXPECT_EQ(cache.find(key_of(2)), nullptr);
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -61,7 +65,7 @@ TEST(MemoCacheTest, InsertOverwritesExistingKey) {
   EXPECT_EQ(cache.size(), 1u);
   const MemoCache::Entry* e = cache.find(key_of(1));
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->result.rlist.size(), 9u);
+  EXPECT_EQ(e->result->rlist.size(), 9u);
 }
 
 TEST(MemoCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
@@ -168,8 +172,16 @@ TEST(MemoCacheTest, BytesTrackInsertionsAndClear) {
 }
 
 TEST(MemoCacheTest, ApproxEntryBytesGrowsWithPayload) {
-  EXPECT_LT(approx_entry_bytes(make_payload(2).result),
-            approx_entry_bytes(make_payload(40).result));
+  EXPECT_LT(approx_entry_bytes(*make_payload(2).result),
+            approx_entry_bytes(*make_payload(40).result));
+}
+
+TEST(MemoCacheTest, ApproxEntryBytesChargesTheResultNotItsHandle) {
+  // An entry holds its result behind a shared handle, but the byte budget
+  // charges the result it owns, so the handle's size must not leak in.
+  const std::size_t fields =
+      sizeof(CacheKey) + sizeof(NodeResult) + sizeof(NodeProfileRecord) + sizeof(std::size_t);
+  EXPECT_EQ(approx_entry_bytes(NodeResult{}), fields);
 }
 
 // ---- cache keys ---------------------------------------------------------
@@ -231,7 +243,7 @@ TEST(SharedCacheIsolation, SessionSeesOwnInsertsButNotOthers) {
   EXPECT_EQ(shared.size(), 1u);
   // Still invisible to b's earlier miss bookkeeping, but a new probe hits.
   ASSERT_NE(b.find(key_of(1)), nullptr);
-  EXPECT_EQ(b.find(key_of(1))->result.rlist.size(), 3u);
+  EXPECT_EQ(b.find(key_of(1))->result->rlist.size(), 3u);
   b.rollback();
 }
 
@@ -310,7 +322,7 @@ TEST(SharedCacheIsolation, RandomInterleavingsMatchCommittedReplay) {
           ++sim.hits;
           // Content must match the key's canonical payload: a leak of
           // another session's in-flight overwrite would betray itself.
-          EXPECT_EQ(found->result.rlist.size(), payload_impls(k));
+          EXPECT_EQ(found->result->rlist.size(), payload_impls(k));
           sim.seen.insert(k);
         } else {
           ++sim.misses;
@@ -377,7 +389,7 @@ TEST(SharedCacheIsolation, ConcurrentSessionsAreRaceFreeAndConsistent) {
           const MemoCache::Entry* found = session.find(key_of(k));
           if (found != nullptr) {
             // Torn or cross-session state would show the wrong payload.
-            EXPECT_EQ(found->result.rlist.size(), payload_impls(k));
+            EXPECT_EQ(found->result->rlist.size(), payload_impls(k));
           } else {
             const MemoCache::Entry payload = make_payload(payload_impls(k));
             session.insert(key_of(k), payload.result, payload.profile);
@@ -396,6 +408,99 @@ TEST(SharedCacheIsolation, ConcurrentSessionsAreRaceFreeAndConsistent) {
   const MemoCacheStats stats = shared.stats();
   EXPECT_EQ(stats.hits + stats.misses, stats.probes());
   EXPECT_GE(stats.insertions, shared.size());
+}
+
+/// True when `result` carries key `n`'s canonical payload.
+bool carries_payload(const NodeResult& result, std::uint64_t n) {
+  return result.rlist == make_payload(payload_impls(n)).result->rlist;
+}
+
+TEST(SharedCacheIsolation, ServedResultsOutliveEviction) {
+  // A served entry shares the store's result. When another session's
+  // commit evicts that key, the holder's copy must stay intact until the
+  // holder lets go, and the last holder frees it.
+  {
+    SharedMemoCache shared(1);  // every commit evicts all older entries
+    CacheSession writer(shared);
+    writer.insert(key_of(1), make_payload(payload_impls(1)).result, {});
+    writer.commit();
+
+    CacheSession reader(shared);
+    const CacheEntry* held = reader.find(key_of(1));
+    ASSERT_NE(held, nullptr);
+    const std::weak_ptr<const NodeResult> watch = held->result;
+    std::shared_ptr<const NodeResult> kept = held->result;  // as a run's artifacts would
+
+    CacheSession evictor(shared);
+    evictor.insert(key_of(2), make_payload(payload_impls(2)).result, {});
+    evictor.commit();
+    CacheEntry gone;
+    ASSERT_FALSE(shared.lookup(key_of(1), gone)) << "key 1 was not evicted";
+    EXPECT_EQ(shared.stats().evictions, 1u);
+
+    EXPECT_TRUE(carries_payload(*held->result, 1));
+    EXPECT_EQ(reader.find(key_of(1)), held) << "the session keeps serving what it fetched";
+    reader.rollback();
+    EXPECT_TRUE(carries_payload(*kept, 1));
+    kept.reset();
+    EXPECT_TRUE(watch.expired()) << "an evicted result outlived its last holder";
+  }
+
+  // Concurrent: readers hold served entries while writers commit enough
+  // inserts to evict them from a store that fits about two entries.
+  constexpr int kReaders = 2;
+  constexpr int kWriters = 2;
+  constexpr int kRounds = 30;
+  constexpr std::uint64_t kKeySpace = 16;
+  MemoCache probe(0);
+  insert(probe, 0, payload_impls(4));  // the largest payload
+  SharedMemoCache shared(2 * probe.bytes());
+  std::atomic<int> readers_done{0};
+  std::atomic<std::size_t> evicted_while_held{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kReaders + kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      std::mt19937 rng(static_cast<std::uint32_t>(w) * 104729u + 7u);
+      while (readers_done.load() < kReaders) {
+        const std::uint64_t k = rng() % kKeySpace;
+        CacheSession session(shared);
+        session.insert(key_of(k), make_payload(payload_impls(k)).result, {});
+        session.commit();
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        CacheSession session(shared);
+        std::vector<std::pair<std::uint64_t, std::shared_ptr<const NodeResult>>> held;
+        for (std::uint64_t k = 0; k < kKeySpace; ++k) {
+          if (const CacheEntry* e = session.find(key_of(k)); e != nullptr) {
+            held.emplace_back(k, e->result);
+          }
+        }
+        // Wait for three more commits: the held keys are evicted by then
+        // unless a writer re-inserted them.
+        const std::size_t target = shared.stats().insertions + 3;
+        for (int spin = 0; spin < 1'000'000 && shared.stats().insertions < target; ++spin) {
+          std::this_thread::yield();
+        }
+        for (const auto& [k, result] : held) {
+          CacheEntry now;
+          if (!shared.lookup(key_of(k), now)) ++evicted_while_held;
+          EXPECT_TRUE(carries_payload(*result, k)) << "key " << k;
+          EXPECT_TRUE(carries_payload(*session.find(key_of(k))->result, k)) << "key " << k;
+        }
+        session.rollback();
+        for (const auto& [k, result] : held) EXPECT_TRUE(carries_payload(*result, k));
+      }
+      ++readers_done;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_GT(shared.stats().evictions, 0u);
+  EXPECT_GT(evicted_while_held.load(), 0u) << "no held entry was ever evicted";
 }
 
 TEST(CacheKeyTest, ConfigFingerprintSeparatesKnobs) {

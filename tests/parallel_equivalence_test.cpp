@@ -44,7 +44,7 @@ std::string serialize_artifacts(const OptimizeOutcome& out) {
   s << '\n';
   const OptimizeArtifacts& art = *out.artifacts;
   for (std::size_t id = 0; id < art.nodes.size(); ++id) {
-    const NodeResult& res = art.nodes[id];
+    const NodeResult& res = *art.nodes[id];
     s << "node " << id << (res.is_l ? " L\n" : " R\n");
     if (!res.is_l) {
       for (std::size_t i = 0; i < res.rlist.size(); ++i) {

@@ -303,8 +303,8 @@ TEST(ParallelFuzzTest, ParallelOptimizeArtifactsValidate) {
     EXPECT_EQ(parallel.best_area, serial.best_area);
     ASSERT_EQ(parallel.artifacts->nodes.size(), serial.artifacts->nodes.size());
     for (std::size_t id = 0; id < serial.artifacts->nodes.size(); ++id) {
-      const NodeResult& s = serial.artifacts->nodes[id];
-      const NodeResult& p = parallel.artifacts->nodes[id];
+      const NodeResult& s = *serial.artifacts->nodes[id];
+      const NodeResult& p = *parallel.artifacts->nodes[id];
       EXPECT_EQ(p.is_l, s.is_l) << "node " << id;
       EXPECT_EQ(p.rlist, s.rlist) << "node " << id;
       EXPECT_EQ(p.rprov, s.rprov) << "node " << id;
