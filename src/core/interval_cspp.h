@@ -30,17 +30,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "geometry/types.h"
-#include "kernel/arena.h"
-#include "kernel/kernel.h"
-#include "kernel/sweep.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 #include "telemetry/trace.h"
@@ -52,62 +47,16 @@ struct IntervalCsppResult {
   Weight weight = 0;
 };
 
-/// Weights that can materialize a whole predecessor row at once:
-/// fill_row(j, i_lo, i_end, out) writes out[t] = weight(i_lo + t, j) for
-/// t in [0, i_end - i_lo). The oracles in r_error.h / l_error.h model
-/// this; such weights take the SoA kernel path below (row fill + vector
-/// argmin), which is pinned bit-identical to the literal scan.
-template <typename W>
-concept RowFillWeight = requires(const W& w, std::size_t j, std::size_t i_lo,
-                                 std::size_t i_end, Weight* out) {
-  w.fill_row(j, i_lo, i_end, out);
-};
-
-/// Weights that can additionally run the whole DP relaxation fused:
-/// best_over_row(prev_row, j, i_lo, i_end) returns the first strict
-/// minimum of prev_row[t] + weight(i_lo + t, j) in one pass, no scratch
-/// row (r_error.h models this with the fused sweep kernel). Preferred
-/// over RowFillWeight on the AVX2 backend.
-template <typename W>
-concept RowArgminWeight = requires(const W& w, const Weight* prev_row, std::size_t j,
-                                   std::size_t i_lo, std::size_t i_end) {
-  { w.best_over_row(prev_row, j, i_lo, i_end) } -> std::same_as<kernel::RowArgmin>;
-};
-
 namespace detail {
 
 /// Best predecessor of j among i in [i_lo, i_end] (inclusive, non-empty):
 /// minimizes prev[i] + weight(i, j), first minimum winning, infinite
-/// prev[i] never winning. Row-fill weights batch the row into arena
-/// scratch and run the argmin kernel when the AVX2 backend is active; the
-/// kernel performs the identical per-element double addition and
-/// strict-< tie-break, and an infinite prev[i] stays infinite under the
-/// addition, so both branches return the same bits
-/// (tests/kernel_equivalence_test.cpp). On the scalar backend the fused
-/// literal loop below wins — batching pays a store/reload per element
-/// that only vector width amortizes — so `--kernel scalar` keeps the
-/// exact pre-kernel-pass code path and speed.
+/// prev[i] never winning.
 template <typename WeightFn>
 std::pair<Weight, std::size_t> best_predecessor(const std::vector<Weight>& prev,
                                                 WeightFn& weight, std::size_t j,
                                                 std::size_t i_lo, std::size_t i_end) {
   assert(i_lo <= i_end && i_end < j);
-  if constexpr (RowArgminWeight<std::remove_cvref_t<WeightFn>>) {
-    if (kernel::kernel_backend() == kernel::KernelBackend::Avx2) {
-      const kernel::RowArgmin best =
-          weight.best_over_row(prev.data() + i_lo, j, i_lo, i_end + 1);
-      return {best.value, i_lo + best.index};
-    }
-  } else if constexpr (RowFillWeight<std::remove_cvref_t<WeightFn>>) {
-    if (kernel::kernel_backend() == kernel::KernelBackend::Avx2) {
-      const std::size_t count = i_end - i_lo + 1;
-      kernel::ArenaScope scope(kernel::scratch_arena());
-      Weight* row = scope.alloc_array<Weight>(count);
-      weight.fill_row(j, i_lo, i_end + 1, row);
-      const kernel::RowArgmin best = kernel::argmin_add(prev.data() + i_lo, row, count);
-      return {best.value, i_lo + best.index};
-    }
-  }
   Weight best = kInfiniteWeight;
   std::size_t best_i = i_lo;
   for (std::size_t i = i_lo; i <= i_end; ++i) {

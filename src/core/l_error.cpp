@@ -56,32 +56,6 @@ L1ErrorOracle::L1ErrorOracle(std::span<const LImpl> chain) {
   }
 }
 
-void L1ErrorOracle::fill_row(std::size_t j, std::size_t i_lo, std::size_t i_end,
-                             Weight* out) const {
-  assert(i_lo <= i_end && i_end <= j && j < s_.size());
-  const Area s_j = s_[j];
-  std::size_t m = i_lo + 1;  // split of the previous i; never moves left
-  for (std::size_t i = i_lo; i < i_end; ++i) {
-    if (j - i <= 1) {
-      out[i - i_lo] = 0;
-      continue;
-    }
-    // Same split as error()'s upper_bound: first m in (i, j) with
-    // threshold < 2 s_m. The threshold grows with i and s is sorted, so
-    // the split is monotone and the previous m is a valid starting point.
-    const Area threshold = s_[i] + s_j;
-    if (m < i + 1) m = i + 1;
-    while (m < j && 2 * s_[m] <= threshold) ++m;
-
-    const Area left_count = static_cast<Area>(m - i - 1);
-    const Area right_count = static_cast<Area>(j - m);
-    const Area left_sum = prefix_[m] - prefix_[i + 1];
-    const Area right_sum = prefix_[j] - prefix_[m];
-    const Area total = (left_sum - left_count * s_[i]) + (right_count * s_j - right_sum);
-    out[i - i_lo] = static_cast<Weight>(total);
-  }
-}
-
 Weight L1ErrorOracle::error(std::size_t i, std::size_t j) const {
   assert(i < j && j < s_.size());
   if (j - i <= 1) return 0;

@@ -63,14 +63,6 @@ class L1ErrorOracle {
   /// DP-weight view of error(): what l_selection hands to interval_cspp.
   [[nodiscard]] Weight operator()(std::size_t i, std::size_t j) const { return error(i, j); }
 
-  /// Batched row: out[t] = error(i_lo + t, j) for t in [0, i_end - i_lo).
-  /// The split point m(i, j) is non-decreasing in i (the threshold
-  /// s_i + s_j grows with i while s is non-decreasing), so one two-pointer
-  /// pass fills the row in O(row + j - i_lo) total instead of a binary
-  /// search per entry. Chooses exactly the same m as error()'s
-  /// upper_bound, hence bit-identical values.
-  void fill_row(std::size_t j, std::size_t i_lo, std::size_t i_end, Weight* out) const;
-
   [[nodiscard]] std::size_t size() const { return s_.size(); }
 
  private:

@@ -54,8 +54,8 @@ SelectionResult l_selection(const LList& chain, std::size_t k, const LSelectionO
 
   SelectionResult result;
   if (opts.metric == LpMetric::L1) {
-    // Passed as the weight directly: operator() + fill_row give the DP
-    // its batched two-pointer row path (see l_error.h).
+    // Passed as the weight directly: O(log n) queries from prefix sums
+    // (see l_error.h).
     const L1ErrorOracle oracle(shapes);
     const IntervalCsppResult path =
         (opts.dp == SelectionDp::Generic)

@@ -25,7 +25,6 @@
 
 #include "geometry/rect_impl.h"
 #include "geometry/types.h"
-#include "kernel/sweep.h"
 
 namespace fpopt {
 
@@ -52,27 +51,6 @@ class RErrorOracle {
   /// DP-weight view of error(): what the selectors hand to interval_cspp.
   [[nodiscard]] Weight operator()(std::size_t i, std::size_t j) const {
     return static_cast<Weight>(error(i, j));
-  }
-
-  /// Batched row: out[t] = (*this)(i_lo + t, j) for t in [0, i_end - i_lo).
-  /// Same closed form as error(), evaluated by the SoA sweep kernel
-  /// (kernel/sweep.h) — bit-identical to per-query evaluation in both
-  /// kernel backends. Enables the vectorized DP path in interval_cspp.h.
-  void fill_row(std::size_t j, std::size_t i_lo, std::size_t i_end, Weight* out) const {
-    kernel::r_error_row(widths_.data() + i_lo, prefix_.data() + i_lo, i_end - i_lo,
-                        widths_[j], heights_[j], prefix_[j], out);
-  }
-
-  /// Fused DP relaxation: the first strict minimum of
-  /// prev_row[t] + (*this)(i_lo + t, j) over t in [0, i_end - i_lo),
-  /// where prev_row points at the DP layer entry for i_lo. One pass, no
-  /// scratch row; bit-identical to fill_row + argmin_add and to the
-  /// literal scan (kernel/sweep.h contract).
-  [[nodiscard]] kernel::RowArgmin best_over_row(const Weight* prev_row, std::size_t j,
-                                                std::size_t i_lo, std::size_t i_end) const {
-    return kernel::argmin_r_error_row(prev_row, widths_.data() + i_lo,
-                                      prefix_.data() + i_lo, i_end - i_lo, widths_[j],
-                                      heights_[j], prefix_[j]);
   }
 
   [[nodiscard]] std::size_t size() const { return widths_.size(); }

@@ -23,8 +23,7 @@ SelectionResult r_selection(const RList& list, std::size_t k, SelectionDp dp,
   }
   assert(k >= 2 && "a reduced staircase must keep both endpoints");
 
-  // The oracle itself is the DP weight (operator() + fill_row), so the
-  // selector takes interval_cspp's batched SoA row path.
+  // The oracle itself is the DP weight: O(1) closed-form queries.
   const RErrorOracle oracle(list.impls());
 
   const IntervalCsppResult path =

@@ -1,10 +1,10 @@
-// Bump arena for kernel scratch rows.
+// Bump arena for SoA scratch rows.
 //
-// The SoA kernels materialize short-lived rows (widths, heights, weights)
-// millions of times per run; heap round-trips for each row dominate the
-// kernels themselves. An Arena hands out pointer-bumped, 64-byte-aligned
-// storage from geometrically grown chunks, and a scope mark rewinds it in
-// O(live chunks) without running destructors.
+// The combine and Stockmeyer loops materialize short-lived rows (widths,
+// heights) millions of times per run; heap round-trips for each row would
+// dominate the row helpers themselves. An Arena hands out pointer-bumped,
+// 64-byte-aligned storage from geometrically grown chunks, and a scope
+// mark rewinds it in O(live chunks) without running destructors.
 //
 // Lifetime rules (docs/ALGORITHMS.md §11):
 //  * only trivially destructible element types — rewinding never destroys;
@@ -12,7 +12,7 @@
 //    store arena pointers in a structure that outlives the scope;
 //  * arenas are single-threaded. scratch_arena() is thread-local, so each
 //    pool worker bumps its own arena and parallel loops need no locks;
-//  * chunks are retained on rewind, so steady-state kernel code performs
+//  * chunks are retained on rewind, so steady-state row code performs
 //    zero heap allocations.
 #pragma once
 
@@ -25,8 +25,7 @@ namespace fpopt::kernel {
 
 class Arena {
  public:
-  /// Alignment of every allocation: one cache line, enough for any vector
-  /// extension this layer uses.
+  /// Alignment of every allocation: one cache line.
   static constexpr std::size_t kAlign = 64;
 
   explicit Arena(std::size_t initial_bytes = 1u << 16);

@@ -2,20 +2,18 @@
 //
 // The shape containers (RList, LList) are arrays-of-structs, which is the
 // right layout for their incremental build/prune logic but the wrong one
-// for row sweeps: a kernel touching only widths strides over heights too.
+// for row sweeps: a loop touching only widths strides over heights too.
 // These views gather one field per contiguous row into arena scratch so
-// the sweep kernels (sweep.h) stream unit-stride memory.
+// the row helpers (sweep.h) stream unit-stride memory.
 //
 // Views borrow arena storage: they are valid only while the ArenaScope
 // they were loaded under is alive (arena.h lifetime rules). Loading is a
-// single scalar pass; every kernel that reads the row more than once (or
-// reads it 4 lanes at a time) amortizes it.
+// single pass, amortized by every helper call that reads the row again.
 #pragma once
 
 #include <cstddef>
 #include <span>
 
-#include "geometry/l_impl.h"
 #include "geometry/rect_impl.h"
 #include "geometry/types.h"
 #include "kernel/arena.h"
@@ -49,18 +47,5 @@ struct LChainSoA {
   const Dim* h2 = nullptr;
   std::size_t n = 0;
 };
-
-/// Gathers `chain` into arena rows (w2 is the caller's to carry).
-[[nodiscard]] inline LChainSoA load_l_chain(Arena& arena, std::span<const LImpl> chain) {
-  Dim* w1 = arena.alloc_array<Dim>(chain.size());
-  Dim* h1 = arena.alloc_array<Dim>(chain.size());
-  Dim* h2 = arena.alloc_array<Dim>(chain.size());
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    w1[i] = chain[i].w1;
-    h1[i] = chain[i].h1;
-    h2[i] = chain[i].h2;
-  }
-  return {w1, h1, h2, chain.size()};
-}
 
 }  // namespace fpopt::kernel

@@ -1,118 +1,33 @@
-// Row-sweep kernels: the hot inner loops of selection and combine,
-// expressed over SoA rows with scalar and AVX2 twins.
-//
-// Contract ("scalar is truth"): for every function `f` here,
-// f_avx2(args) returns byte-identical results to f_scalar(args) on every
-// input, including empty rows and every tail length mod the vector width.
-// The undecorated name dispatches on kernel_backend() (kernel.h). The
-// equivalence is not approximate:
-//  * the integer kernels are exact by associativity/commutativity of
-//    min/max/+ over int64 (lane order cannot matter);
-//  * argmin kernels preserve the scalar first-strict-minimum tie-break:
-//    each AVX2 lane keeps the first minimum of its index subsequence
-//    (strict compare-and-blend), and the cross-lane reduction takes the
-//    smallest value, breaking value ties by smallest index — which is
-//    exactly the first scan-order occurrence of the global minimum;
-//  * the only floating-point op is the double add in argmin_add; it is
-//    performed once per element in both paths (no reassociated
-//    reductions), so results are bit-identical.
-// tests/kernel_equivalence_test.cpp enforces all of this differentially.
-//
-// When the build has no AVX2 translation unit (FPOPT_AVX2=OFF), the
-// *_avx2 symbols still link — they forward to the scalar twins — so the
-// differential tests compile everywhere and degrade to scalar-vs-scalar.
+// Row helpers for the [9] wheel combines and the Stockmeyer merge: one
+// output row per (row, broadcast value) pair over SoA rows (soa.h). Pure
+// int64 min/max/+ over Dim, written as plain left-to-right loops.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <optional>
 
 #include "geometry/types.h"
 
 namespace fpopt::kernel {
 
-/// Result of a row argmin: the winning value and its row-relative index.
-struct RowArgmin {
-  Weight value = kInfiniteWeight;
-  std::size_t index = 0;
-};
+/// out[t] = in[t] + c
+inline void add_broadcast(const Dim* in, std::size_t n, Dim c, Dim* out) {
+  for (std::size_t t = 0; t < n; ++t) out[t] = in[t] + c;
+}
 
-/// First strict minimum of a[t] + b[t] over t in [0, n): the smallest t
-/// attaining the minimal sum, exactly as a left-to-right scalar scan with
-/// `cand < best` would pick it. n == 0 (or all sums infinite) yields
-/// {kInfiniteWeight, 0}. This is the DP relaxation of interval_cspp.h:
-/// `a` is the previous layer, `b` the error row.
-[[nodiscard]] RowArgmin argmin_add(const Weight* a, const Weight* b, std::size_t n);
-[[nodiscard]] RowArgmin argmin_add_scalar(const Weight* a, const Weight* b, std::size_t n);
-[[nodiscard]] RowArgmin argmin_add_avx2(const Weight* a, const Weight* b, std::size_t n);
+/// out[t] = max(in[t], c)
+inline void max_broadcast(const Dim* in, std::size_t n, Dim c, Dim* out) {
+  for (std::size_t t = 0; t < n; ++t) out[t] = std::max(in[t], c);
+}
 
-/// R_Selection error row (r_error.h closed form): for t in [0, n)
-///   out[t] = Weight( hj * (w[t] - wj) - (gj - g[t]) )
-/// where (w, g) are the oracle's width and G-prefix rows starting at the
-/// row's first predecessor and (wj, hj, gj) belong to the destination.
-/// All arithmetic is int64; the final int64->double conversion is the
-/// same rounding in both paths.
-void r_error_row(const Dim* w, const Area* g, std::size_t n, Dim wj, Dim hj, Area gj,
-                 Weight* out);
-void r_error_row_scalar(const Dim* w, const Area* g, std::size_t n, Dim wj, Dim hj, Area gj,
-                        Weight* out);
-void r_error_row_avx2(const Dim* w, const Area* g, std::size_t n, Dim wj, Dim hj, Area gj,
-                      Weight* out);
+/// out[t] = max(a[t], b[t] + c)
+inline void max_add_broadcast(const Dim* a, const Dim* b, std::size_t n, Dim c, Dim* out) {
+  for (std::size_t t = 0; t < n; ++t) out[t] = std::max(a[t], b[t] + c);
+}
 
-/// Fused DP relaxation for the R-selection row: the first strict minimum
-/// over t in [0, n) of
-///   prev[t] + Weight( hj * (w[t] - wj) - (gj - g[t]) )
-/// — r_error_row and argmin_add in one pass, no scratch row. Bit-identical
-/// to the composition (same int64 arithmetic, same int64->double rounding,
-/// same single double add, same strict-< tie-break); infinite prev[t]
-/// lanes can never win because inf + finite == inf. n == 0 (or all sums
-/// infinite) yields {kInfiniteWeight, 0}.
-[[nodiscard]] RowArgmin argmin_r_error_row(const Weight* prev, const Dim* w, const Area* g,
-                                           std::size_t n, Dim wj, Dim hj, Area gj);
-[[nodiscard]] RowArgmin argmin_r_error_row_scalar(const Weight* prev, const Dim* w,
-                                                  const Area* g, std::size_t n, Dim wj, Dim hj,
-                                                  Area gj);
-[[nodiscard]] RowArgmin argmin_r_error_row_avx2(const Weight* prev, const Dim* w,
-                                                const Area* g, std::size_t n, Dim wj, Dim hj,
-                                                Area gj);
-
-/// out[t] = in[t] + c                                  (int64, exact)
-void add_broadcast(const Dim* in, std::size_t n, Dim c, Dim* out);
-void add_broadcast_scalar(const Dim* in, std::size_t n, Dim c, Dim* out);
-void add_broadcast_avx2(const Dim* in, std::size_t n, Dim c, Dim* out);
-
-/// out[t] = max(in[t], c)                              (int64, exact)
-void max_broadcast(const Dim* in, std::size_t n, Dim c, Dim* out);
-void max_broadcast_scalar(const Dim* in, std::size_t n, Dim c, Dim* out);
-void max_broadcast_avx2(const Dim* in, std::size_t n, Dim c, Dim* out);
-
-/// out[t] = max(a[t], b[t] + c)                        (int64, exact)
-void max_add_broadcast(const Dim* a, const Dim* b, std::size_t n, Dim c, Dim* out);
-void max_add_broadcast_scalar(const Dim* a, const Dim* b, std::size_t n, Dim c, Dim* out);
-void max_add_broadcast_avx2(const Dim* a, const Dim* b, std::size_t n, Dim c, Dim* out);
-
-/// out[t] = max(a[t], b[t])                            (int64, exact)
-void max_rows(const Dim* a, const Dim* b, std::size_t n, Dim* out);
-void max_rows_scalar(const Dim* a, const Dim* b, std::size_t n, Dim* out);
-void max_rows_avx2(const Dim* a, const Dim* b, std::size_t n, Dim* out);
-
-/// Fixed-outline query (curve_queries.h): smallest index of a minimal-area
-/// entry with w[t] <= max_w and h[t] <= max_h; nullopt when none fits.
-/// Matches the scalar scan's first-strict-minimum over feasible entries.
-[[nodiscard]] std::optional<std::size_t> argmin_area_in_outline(const Dim* w, const Dim* h,
-                                                                std::size_t n, Dim max_w,
-                                                                Dim max_h);
-[[nodiscard]] std::optional<std::size_t> argmin_area_in_outline_scalar(const Dim* w,
-                                                                       const Dim* h,
-                                                                       std::size_t n, Dim max_w,
-                                                                       Dim max_h);
-[[nodiscard]] std::optional<std::size_t> argmin_area_in_outline_avx2(const Dim* w, const Dim* h,
-                                                                     std::size_t n, Dim max_w,
-                                                                     Dim max_h);
-
-/// min over t of max(w[t], h[t]); n must be >= 1. Pure min/max, so lane
-/// order is irrelevant and equivalence is exact.
-[[nodiscard]] Dim min_max_side(const Dim* w, const Dim* h, std::size_t n);
-[[nodiscard]] Dim min_max_side_scalar(const Dim* w, const Dim* h, std::size_t n);
-[[nodiscard]] Dim min_max_side_avx2(const Dim* w, const Dim* h, std::size_t n);
+/// out[t] = max(a[t], b[t])
+inline void max_rows(const Dim* a, const Dim* b, std::size_t n, Dim* out) {
+  for (std::size_t t = 0; t < n; ++t) out[t] = std::max(a[t], b[t]);
+}
 
 }  // namespace fpopt::kernel

@@ -10,12 +10,11 @@
 #include "check/check_shapes.h"  // FPOPT-LINT-OK(layering): FPOPT_VALIDATE post-condition hook; compiled to no-ops by default
 #endif
 
-// Float-accumulation audit (docs/ALGORITHMS.md §11): every combine kernel
+// Float-accumulation audit (docs/ALGORITHMS.md §11): every combine row
 // below is pure int64 arithmetic — min/max/+ over Dim — with no
-// floating-point accumulation anywhere, so handing rows to the SIMD
-// kernels cannot reassociate anything observable. The budget decisions
-// are count-based (TransientScope::add per candidate, in generation
-// order), which the SoA rewrite preserves element for element.
+// floating-point accumulation anywhere. The budget decisions are
+// count-based (TransientScope::add per candidate, in generation order),
+// which the SoA rows preserve element for element.
 
 namespace fpopt {
 namespace {
@@ -221,7 +220,7 @@ LCombineResult combine_wheel_stack(const RList& d, const RList& a, LPruning prun
   std::size_t compact_at = 4096;
 
   // SoA pass: D's curve is gathered once, and per a[j] the whole w1/h1
-  // column pair is produced by two row kernels (w2 == a[j].w and h2 == d_i.h
+  // column pair is produced by two row helpers (w2 == a[j].w and h2 == d_i.h
   // need no work). The chain is then assembled in the original (j, i)
   // order with the original per-candidate budget charge, so candidate
   // streams and OOM decisions are unchanged.
@@ -250,7 +249,7 @@ namespace {
 /// Shared driver for op2/op3: apply a row transform to every
 /// (chain element, rect impl) pair, one context per (chain, rect impl).
 /// `row_op(rows, rect, ow1, oh1, oh2)` fills the transformed w1/h1/h2
-/// columns for one rect via the sweep kernels; the driver assembles them
+/// columns for one rect via the row helpers; this function assembles them
 /// into pre-chains in the original (chain, j, i) order with the original
 /// per-candidate budget charge.
 template <typename RowOpFn>

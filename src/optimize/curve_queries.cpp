@@ -2,25 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
-
-#include "kernel/arena.h"
-#include "kernel/soa.h"
-#include "kernel/sweep.h"
-
-// Float-accumulation audit (docs/ALGORITHMS.md §11): the outline and
-// square queries are pure int64 comparisons/products and are served by
-// the SoA sweep kernels. best_with_aspect is the one float consumer here
-// — a per-element h/w division used only as a filter, never accumulated —
-// so it stays scalar on purpose: vectorizing a division filter buys
-// nothing and the scalar loop is self-evidently order-stable.
+#include <limits>
 
 namespace fpopt {
 
 std::optional<std::size_t> best_in_outline(const RList& curve, Dim max_w, Dim max_h) {
-  kernel::Arena& arena = kernel::scratch_arena();
-  kernel::ArenaScope scope(arena);
-  const kernel::RCurveSoA s = kernel::load_r_curve(arena, curve.impls());
-  return kernel::argmin_area_in_outline(s.w, s.h, s.n, max_w, max_h);
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    if (curve[i].w > max_w || curve[i].h > max_h) continue;
+    if (!best || curve[i].area() < curve[*best].area()) best = i;
+  }
+  return best;
 }
 
 std::optional<std::size_t> best_with_aspect(const RList& curve, double min_ratio,
@@ -37,10 +29,9 @@ std::optional<std::size_t> best_with_aspect(const RList& curve, double min_ratio
 
 Dim smallest_square_side(const RList& curve) {
   assert(!curve.empty());
-  kernel::Arena& arena = kernel::scratch_arena();
-  kernel::ArenaScope scope(arena);
-  const kernel::RCurveSoA s = kernel::load_r_curve(arena, curve.impls());
-  return kernel::min_max_side(s.w, s.h, s.n);
+  Dim best = std::numeric_limits<Dim>::max();
+  for (const RectImpl& r : curve) best = std::min(best, std::max(r.w, r.h));
+  return best;
 }
 
 }  // namespace fpopt

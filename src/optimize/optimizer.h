@@ -51,7 +51,11 @@ class ThreadPool;  // src/runtime/thread_pool.h
 
 /// The paper's knobs (Sections 3 and 5).
 struct SelectionConfig {
-  std::size_t k1 = 0;  ///< max implementations per rectangular block (0 = exact, no limit)
+  /// Max implementations per rectangular block (0 = exact, no limit).
+  /// Must be 0 or at least 2: R_Selection keeps both staircase endpoints,
+  /// so k1 == 1 trips its precondition. Input surfaces (the CLI flag
+  /// parsers, the fpoptd protocol) reject 1 before it gets here.
+  std::size_t k1 = 0;
   std::size_t k2 = 0;  ///< max implementations per L-shaped block (0 = no limit)
   /// Section 5 trigger: run L_Selection only when K2/X < theta (X the
   /// block's current count). 1.0 = reduce whenever the limit is exceeded.

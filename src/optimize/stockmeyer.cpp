@@ -9,7 +9,7 @@ namespace {
 
 /// One Stockmeyer merge step, batched: the right-hand curve is gathered
 /// into SoA rows once, then each a_i produces its whole candidate row
-/// with two broadcast kernels (w/h roles swap with the slice direction).
+/// with two broadcast helpers (w/h roles swap with the slice direction).
 /// Candidates appear in the same (i, j) order as the scalar double loop,
 /// and RList::from_candidates prunes order-insensitively on top.
 RList merge_curves(const RList& a_curve, const RList& b_curve, bool vertical) {

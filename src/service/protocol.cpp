@@ -58,6 +58,9 @@ void apply_option(const std::string& key, const JsonValue& v, ServiceRequest& ou
   OptimizerOptions& options = out.spec.options;
   if (key == "k1") {
     options.selection.k1 = option_uint(key, v);
+    if (options.selection.k1 == 1) {
+      throw DecodeFail{ServiceErrorCode::kOption, "option 'k1' must be 0 or at least 2"};
+    }
   } else if (key == "k2") {
     options.selection.k2 = option_uint(key, v);
   } else if (key == "theta") {

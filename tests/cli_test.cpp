@@ -136,6 +136,15 @@ TEST_F(CliTest, CacheMbRejectsZeroAndOverflow) {
       << err_.str();
 }
 
+// Regression: --k1 1 reached r_selection(list, 1), whose keep-both-
+// endpoints precondition aborted the process.
+TEST_F(CliTest, K1OfOneIsAUsageError) {
+  EXPECT_EQ(run({"optimize", topo_path_, lib_path_, "--k1", "1"}), 2);
+  EXPECT_NE(err_.str().find("--k1 must be 0 or at least 2"), std::string::npos) << err_.str();
+  EXPECT_EQ(run({"optimize", topo_path_, lib_path_, "--k1", "0"}), 0) << err_.str();
+  EXPECT_EQ(run({"optimize", topo_path_, lib_path_, "--k1", "2"}), 0) << err_.str();
+}
+
 TEST_F(CliTest, SvgWritesAFile) {
   const std::string svg_path = unique_path("cli_test.svg");
   std::remove(svg_path.c_str());

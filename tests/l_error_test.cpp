@@ -2,12 +2,23 @@
 // oracle, and the paper's Lemmas 2 and 3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "core/l_error.h"
 #include "core/r_error.h"  // triangular_index
+#include "runtime/thread_pool.h"
 #include "test_util.h"
 
 namespace fpopt {
 namespace {
+
+/// Bitwise row comparison: stricter than ==, distinguishes -0.0 from 0.0.
+bool rows_same_bits(const std::vector<Weight>& a, const std::vector<Weight>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(Weight)) == 0);
+}
 
 TEST(LDistTest, ManhattanIgnoresNothingButCountsW2Once) {
   const LImpl a{10, 5, 8, 3};
@@ -79,6 +90,36 @@ TEST(ComputeLErrorTest, MatchesDefinitionDirectly) {
       }
     }
   }
+}
+
+// Float-accumulation-order audit (docs/ALGORITHMS.md §11): the only float
+// accumulation feeding determinism-sensitive results is the L2 error
+// table's per-entry sum. Its canonical order is q ascending; this pins it
+// (serial and pooled) against an explicit reference loop.
+TEST(ComputeLErrorTest, L2SummationOrderIsCanonical) {
+  Pcg32 rng(0x5eed0008);
+  const std::size_t n = 40;
+  const LList chain = test::random_l_chain(n, rng);
+  const std::vector<LImpl> shapes = chain.shapes();
+
+  std::vector<Weight> want(n * (n - 1) / 2, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      Weight sum = 0;  // canonical order: q strictly ascending, one += per q
+      for (std::size_t q = i + 1; q < j; ++q) {
+        sum += std::min(l_dist(shapes[i], shapes[q], LpMetric::L2),
+                        l_dist(shapes[q], shapes[j], LpMetric::L2));
+      }
+      want[triangular_index(n, i, j)] = sum;
+    }
+  }
+
+  const std::vector<Weight> serial = compute_l_error_table(shapes, LpMetric::L2, nullptr);
+  ASSERT_TRUE(rows_same_bits(serial, want));
+
+  ThreadPool pool(4);
+  const std::vector<Weight> pooled = compute_l_error_table(shapes, LpMetric::L2, &pool);
+  ASSERT_TRUE(rows_same_bits(pooled, want));
 }
 
 TEST(LemmaThreeTest, NearestKeptNeighborIsOneOfTheTwoAdjacentOnes) {

@@ -13,9 +13,7 @@
 #include "core/l_selection.h"
 #include "core/r_selection.h"
 #include "geometry/staircase.h"
-#include "kernel/kernel.h"
 #include "optimize/combine.h"
-#include "optimize/curve_queries.h"
 #include "optimize/optimizer.h"
 #include "runtime/thread_pool.h"
 #include "shape/r_list.h"
@@ -314,23 +312,16 @@ TEST(ParallelFuzzTest, ParallelOptimizeArtifactsValidate) {
   }
 }
 
-// ---- kernel-backend fuzz ------------------------------------------------
+// ---- row-shape fuzz ------------------------------------------------------
 //
-// Satellite of the SIMD kernel pass: replay the combine/selection surfaces
-// under both kernel backends and require byte-identical results, leaning
-// on the shapes the row kernels care about — one-module lists (rows of
-// length 1, pure tail), equal-area ties (the argmin tie-break), and long
-// lists whose rows span many full vector blocks plus every tail. When the
-// build or CPU lacks AVX2 the Avx2 guard does not apply and the replay
-// degrades to scalar-vs-scalar.
+// Drive the combine/selection surfaces with the shapes their row loops
+// care about — one-module lists (rows of length 1), equal-area ties (the
+// argmin tie-break) and long lists (rows of hundreds of entries as the
+// DP layer bounds shift) — and check every result against the
+// independent validators. Generic and Monge must reach the same optimal
+// error; ties may let them keep different positions.
 
-template <typename Fn>
-auto replay_under(kernel::KernelMode mode, Fn&& fn) {
-  kernel::KernelModeGuard guard(mode);
-  return fn();
-}
-
-TEST(KernelFuzzTest, DegenerateOneModuleListsMatchAcrossBackends) {
+TEST(KernelFuzzTest, DegenerateOneModuleWheelChainIsIrreducible) {
   Pcg32 rng(1313);
   BudgetTracker budget(0);
   for (int iter = 0; iter < 10; ++iter) {
@@ -339,88 +330,60 @@ TEST(KernelFuzzTest, DegenerateOneModuleListsMatchAcrossBackends) {
     const RList e = random_r_list(1, rng);
     const RList c = random_r_list(1, rng);
     const RList b = random_r_list(1, rng);
-    const auto run = [&] {
-      OptimizerStats stats;
-      const LCombineResult stacked =
-          combine_wheel_stack(d, a, LPruning::PerChain, budget, stats);
-      const LCombineResult notched =
-          combine_wheel_fill_notch(stacked.set, e, LPruning::PerChain, budget, stats);
-      const LCombineResult extended =
-          combine_wheel_extend(notched.set, c, LPruning::PerChain, budget, stats);
-      RCombineResult closed = combine_wheel_close(extended.set, b, budget, stats);
-      const RCombineResult sliced = combine_slice(a, b, iter % 2 == 0, budget, stats);
-      closed.list = RList::from_candidates([&] {
-        std::vector<RectImpl> all(closed.list.begin(), closed.list.end());
-        all.insert(all.end(), sliced.list.begin(), sliced.list.end());
-        return all;
-      }());
-      return closed.list;
-    };
-    const RList scalar = replay_under(kernel::KernelMode::Scalar, run);
-    const RList avx2 = replay_under(kernel::KernelMode::Avx2, run);
-    EXPECT_EQ(scalar, avx2);
-    EXPECT_TRUE(check_r_list(scalar, "kernel-fuzz-degenerate").ok());
+    OptimizerStats stats;
+    const LCombineResult stacked = combine_wheel_stack(d, a, LPruning::PerChain, budget, stats);
+    const LCombineResult notched =
+        combine_wheel_fill_notch(stacked.set, e, LPruning::PerChain, budget, stats);
+    const LCombineResult extended =
+        combine_wheel_extend(notched.set, c, LPruning::PerChain, budget, stats);
+    const RCombineResult closed = combine_wheel_close(extended.set, b, budget, stats);
+    const RCombineResult sliced = combine_slice(a, b, iter % 2 == 0, budget, stats);
+    std::vector<RectImpl> all(closed.list.begin(), closed.list.end());
+    all.insert(all.end(), sliced.list.begin(), sliced.list.end());
+    const RList merged = RList::from_candidates(std::move(all));
+    EXPECT_TRUE(check_r_list(merged, "kernel-fuzz-degenerate").ok());
   }
 }
 
-TEST(KernelFuzzTest, EqualAreaTiesMatchAcrossBackends) {
+TEST(KernelFuzzTest, EqualAreaTiesAgreeAcrossDps) {
   // Staircase whose corners share areas pairwise (24 = 12x2 = 8x3 = 6x4 =
-  // 4x6 = 3x8 = 2x12): every argmin in selection and the curve queries
-  // runs into value ties and must break them by first index identically.
+  // 4x6 = 3x8 = 2x12): every argmin in selection runs into value ties.
   const RList list = RList::from_sorted_unchecked(
       std::vector<RectImpl>{{12, 2}, {8, 3}, {6, 4}, {4, 6}, {3, 8}, {2, 12}});
   for (const std::size_t k : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
-    for (const SelectionDp dp : {SelectionDp::Generic, SelectionDp::Monge}) {
-      const SelectionResult scalar = replay_under(kernel::KernelMode::Scalar,
-                                                  [&] { return r_selection(list, k, dp); });
-      const SelectionResult avx2 = replay_under(kernel::KernelMode::Avx2,
-                                                [&] { return r_selection(list, k, dp); });
-      EXPECT_EQ(scalar.kept, avx2.kept) << "k=" << k;
-      EXPECT_EQ(scalar.error, avx2.error) << "k=" << k;
-    }
+    const SelectionResult generic = r_selection(list, k, SelectionDp::Generic);
+    const SelectionResult monge = r_selection(list, k, SelectionDp::Monge);
+    EXPECT_EQ(generic.error, monge.error) << "k=" << k;
+    EXPECT_TRUE(check_selection_certificate(list, generic, k).ok()) << "k=" << k;
+    EXPECT_TRUE(check_selection_certificate(list, monge, k).ok()) << "k=" << k;
   }
-  for (const Dim box : {Dim{3}, Dim{6}, Dim{12}, Dim{24}}) {
-    const auto query = [&] { return best_in_outline(list, box, box); };
-    EXPECT_EQ(replay_under(kernel::KernelMode::Scalar, query),
-              replay_under(kernel::KernelMode::Avx2, query))
-        << "box=" << box;
-  }
-  const auto square = [&] { return smallest_square_side(list); };
-  EXPECT_EQ(replay_under(kernel::KernelMode::Scalar, square),
-            replay_under(kernel::KernelMode::Avx2, square));
 }
 
-TEST(KernelFuzzTest, LongListsMatchAcrossBackends) {
+TEST(KernelFuzzTest, LongListsAgreeAcrossDps) {
   Pcg32 rng(1414);
   BudgetTracker budget(0);
-  // Rows far past one vector block: 512-corner staircases and 300-element
-  // chains hit 128 full 4-lane blocks plus assorted tails as the DP layer
-  // bounds shift.
   const RList list = random_r_list(512, rng, 3);
   const LList chain = random_l_chain(300, rng, 3);
-  for (const SelectionDp dp : {SelectionDp::Generic, SelectionDp::Monge}) {
-    const auto run_r = [&] { return r_selection(list, 16, dp); };
-    const SelectionResult rs = replay_under(kernel::KernelMode::Scalar, run_r);
-    const SelectionResult rv = replay_under(kernel::KernelMode::Avx2, run_r);
-    EXPECT_EQ(rs.kept, rv.kept);
-    EXPECT_EQ(rs.error, rv.error);
+  const SelectionResult r_generic = r_selection(list, 16, SelectionDp::Generic);
+  const SelectionResult r_monge = r_selection(list, 16, SelectionDp::Monge);
+  EXPECT_EQ(r_generic.error, r_monge.error);
+  EXPECT_TRUE(check_selection_certificate(list, r_generic, 16).ok());
+  EXPECT_TRUE(check_selection_certificate(list, r_monge, 16).ok());
 
-    LSelectionOptions lopts;
-    lopts.dp = dp;
-    const auto run_l = [&] { return l_selection(chain, 11, lopts); };
-    const SelectionResult ls = replay_under(kernel::KernelMode::Scalar, run_l);
-    const SelectionResult lv = replay_under(kernel::KernelMode::Avx2, run_l);
-    EXPECT_EQ(ls.kept, lv.kept);
-    EXPECT_EQ(ls.error, lv.error);
-  }
+  LSelectionOptions lopts;
+  lopts.dp = SelectionDp::Generic;
+  const SelectionResult l_generic = l_selection(chain, 11, lopts);
+  lopts.dp = SelectionDp::Monge;
+  const SelectionResult l_monge = l_selection(chain, 11, lopts);
+  EXPECT_EQ(l_generic.error, l_monge.error);
+  EXPECT_TRUE(check_l_selection_certificate(chain, l_generic, 11, lopts.metric).ok());
+  EXPECT_TRUE(check_l_selection_certificate(chain, l_monge, 11, lopts.metric).ok());
+
   const RList a = random_r_list(200, rng, 3);
   const RList b = random_r_list(200, rng, 3);
-  const auto run_slice = [&] {
-    OptimizerStats stats;
-    return combine_slice(a, b, false, budget, stats).list;
-  };
-  EXPECT_EQ(replay_under(kernel::KernelMode::Scalar, run_slice),
-            replay_under(kernel::KernelMode::Avx2, run_slice));
+  OptimizerStats stats;
+  const RCombineResult sliced = combine_slice(a, b, false, budget, stats);
+  EXPECT_TRUE(check_r_list(sliced.list, "kernel-fuzz-long").ok());
 }
 
 }  // namespace

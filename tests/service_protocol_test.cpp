@@ -28,11 +28,12 @@ namespace {
 constexpr const char* kTopology = "(V (H m0 m1) m2)";
 constexpr const char* kLibrary = "m0 38x11 26x16\nm1 41x26 40x27\nm2 46x7 37x8\n";
 
-std::string valid_frame(const std::string& id = "\"ok\"") {
+std::string valid_frame(const std::string& id = "\"ok\"",
+                        const std::string& options = "{\"k1\":4,\"k2\":4}") {
   return "{\"fpopt_request\":{\"schema_version\":1,\"id\":" + id +
          ",\"command\":\"optimize\",\"topology\":" + telemetry::json_quote(kTopology) +
-         ",\"library\":" + telemetry::json_quote(kLibrary) +
-         ",\"options\":{\"k1\":4,\"k2\":4}}}";
+         ",\"library\":" + telemetry::json_quote(kLibrary) + ",\"options\":" + options +
+         "}}";
 }
 
 /// Parse + schema-validate one response line; returns the inner object.
@@ -98,6 +99,9 @@ TEST(ServiceProtocol, DistinctErrorCodesPerFailureClass) {
       {"{\"fpopt_request\":{\"schema_version\":1,\"command\":\"optimize\","
        "\"topology\":\"(V m0 m1)\",\"library\":\"\",\"options\":{\"theta\":0}}}",
        "E_OPTION"},  // theta must be in (0, 1]
+      {"{\"fpopt_request\":{\"schema_version\":1,\"command\":\"optimize\","
+       "\"topology\":\"(V m0 m1)\",\"library\":\"\",\"options\":{\"k1\":1}}}",
+       "E_OPTION"},  // k1 must be 0 or at least 2
       // Traffic-policy members: integer 0..2 priority, bounded deadline,
       // run commands only.
       {"{\"fpopt_request\":{\"schema_version\":1,\"command\":\"optimize\","
@@ -240,7 +244,10 @@ TEST(ServiceProtocol, FuzzedFramesNeverCrashAndAlwaysRespond) {
 TEST(ServiceProtocol, StdioTransportRespondsInOrderAndHonorsShutdown) {
   ServiceConfig config;
   Service service(config);
-  std::istringstream in(valid_frame("1") + "\ngarbage\n" + valid_frame("2") + "\n" +
+  // "k1": 1 once reached R_Selection's keep-both-endpoints assert and
+  // aborted the daemon; it must be refused and the next frame served.
+  std::istringstream in(valid_frame("1") + "\ngarbage\n" + valid_frame("3", "{\"k1\":1}") +
+                        "\n" + valid_frame("2") + "\n" +
                         "{\"fpopt_request\":{\"schema_version\":1,\"id\":\"bye\","
                         "\"command\":\"shutdown\"}}\n" +
                         valid_frame("\"after\"") + "\n");
@@ -249,12 +256,13 @@ TEST(ServiceProtocol, StdioTransportRespondsInOrderAndHonorsShutdown) {
   std::vector<std::string> lines;
   std::istringstream split(out.str());
   for (std::string line; std::getline(split, line);) lines.push_back(line);
-  // Four responses — the frame after shutdown is dropped.
-  ASSERT_EQ(lines.size(), 4u);
+  // Five responses — the frame after shutdown is dropped.
+  ASSERT_EQ(lines.size(), 5u);
   EXPECT_EQ(checked_response(lines[0]).find("id")->integer, 1);
   EXPECT_EQ(error_code(lines[1]), "E_PARSE");
-  EXPECT_EQ(checked_response(lines[2]).find("id")->integer, 2);
-  EXPECT_EQ(checked_response(lines[3]).find("id")->string, "bye");
+  EXPECT_EQ(error_code(lines[2]), "E_OPTION");
+  EXPECT_EQ(checked_response(lines[3]).find("id")->integer, 2);
+  EXPECT_EQ(checked_response(lines[4]).find("id")->string, "bye");
   EXPECT_TRUE(service.shutdown_requested());
 }
 

@@ -108,6 +108,7 @@ Cli parse_args(const std::vector<std::string>& args) {
       cli.workload.seed = static_cast<std::uint64_t>(parse_int(a, need_value()));
     } else if (a == "--k1") {
       sel.k1 = static_cast<std::size_t>(parse_int(a, need_value()));
+      if (sel.k1 == 1) throw UsageError("--k1 must be 0 or at least 2");
     } else if (a == "--k2") {
       sel.k2 = static_cast<std::size_t>(parse_int(a, need_value()));
     } else if (a == "--theta") {
