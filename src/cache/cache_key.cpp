@@ -6,39 +6,6 @@
 namespace fpopt {
 namespace {
 
-[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-/// Two quasi-independent 64-bit mixing lanes; order-sensitive absorption.
-class Hasher {
- public:
-  explicit Hasher(std::uint64_t tag)
-      : a_(splitmix64(tag ^ 0x243F6A8885A308D3ULL)),
-        b_(splitmix64(tag ^ 0x13198A2E03707344ULL)) {}
-
-  void absorb(std::uint64_t v) {
-    a_ = splitmix64(a_ ^ v);
-    b_ = splitmix64(b_ + v * 0xA24BAED4963EE407ULL + 0x632BE59BD9B4E019ULL);
-  }
-
-  void absorb(const CacheKey& k) {
-    absorb(k.hi);
-    absorb(k.lo);
-  }
-
-  [[nodiscard]] CacheKey finish() const {
-    return {splitmix64(a_ ^ (b_ >> 1)), splitmix64(b_ + (a_ << 1))};
-  }
-
- private:
-  std::uint64_t a_;
-  std::uint64_t b_;
-};
-
 // Domain-separation tags (arbitrary odd constants).
 constexpr std::uint64_t kConfigTag = 0xC0F1C0F1C0F1C0F1ULL;
 constexpr std::uint64_t kLeafTag = 0x1EAF1EAF1EAF1EAFULL;
@@ -47,22 +14,18 @@ constexpr std::uint64_t kInternalTag = 0x0DDC0DDC0DDC0DDCULL;
 [[nodiscard]] CacheKey module_content_key(const Module& module, const CacheKey& cfg) {
   Hasher h(kLeafTag);
   h.absorb(cfg);
-  h.absorb(module.impls.size());
-  for (const RectImpl& r : module.impls) {
-    h.absorb(static_cast<std::uint64_t>(r.w));
-    h.absorb(static_cast<std::uint64_t>(r.h));
-  }
+  h.absorb(module.impls.digest());
   return h.finish();
 }
 
-void derive(const BinaryNode& node, const std::vector<CacheKey>& leaf_keys,
-            const CacheKey& cfg, std::vector<CacheKey>& out) {
+void derive(const BinaryNode& node, const FloorplanTree& tree, const CacheKey& cfg,
+            std::vector<CacheKey>& out) {
   if (node.is_leaf()) {
-    out[node.id] = leaf_keys[node.module_id];
+    out[node.id] = module_content_key(tree.module(node.module_id), cfg);
     return;
   }
-  derive(*node.left, leaf_keys, cfg, out);
-  derive(*node.right, leaf_keys, cfg, out);
+  derive(*node.left, tree, cfg, out);
+  derive(*node.right, tree, cfg, out);
   Hasher h(kInternalTag);
   h.absorb(cfg);
   h.absorb(static_cast<std::uint64_t>(node.op));
@@ -90,13 +53,8 @@ std::vector<CacheKey> derive_node_keys(const BinaryTree& btree, const FloorplanT
                                        const OptimizerOptions& opts) {
   assert(btree.root != nullptr);
   const CacheKey cfg = config_fingerprint(opts);
-  // Hash each module's implementation list once (leaves may repeat content).
-  std::vector<CacheKey> leaf_keys;
-  leaf_keys.reserve(tree.module_count());
-  for (const Module& m : tree.modules()) leaf_keys.push_back(module_content_key(m, cfg));
-
   std::vector<CacheKey> keys(btree.node_count);
-  derive(*btree.root, leaf_keys, cfg, keys);
+  derive(*btree.root, tree, cfg, keys);
   return keys;
 }
 

@@ -4,13 +4,16 @@
 // modules under its subtree, (b) the subtree's structure — which combine
 // ops in which order — and (c) the selection/pruning knobs of the run.
 // The key is a 128-bit structural hash over exactly those inputs,
-// computed bottom up: a leaf hashes its module's implementation list (by
-// *content*, so identically-shaped modules share cache entries), an
-// internal node hashes (op tag, left key, right key), and the knob
-// fingerprint is folded into every node. Everything the result does NOT
-// depend on — the memory budget, thread count, wheel chirality (shape
-// curves are mirror-invariant), module names/ids — is deliberately left
-// out, so runs that differ only in those still share entries.
+// computed bottom up: a leaf hashes its module's implementation-list
+// digest (by *content*, so identically-shaped modules share cache
+// entries), an internal node hashes (op tag, left key, right key), and the
+// knob fingerprint is folded into every node. The digest is computed once,
+// when the module's list is set (ModuleImpls, floorplan/module.h), so
+// deriving a run's keys costs O(nodes) hash steps, not O(implementations).
+// Everything the result does NOT depend on — the memory budget, thread
+// count, wheel chirality (shape curves are mirror-invariant), module
+// names/ids — is deliberately left out, so runs that differ only in those
+// still share entries.
 //
 // 128 bits makes an accidental collision astronomically unlikely
 // (~2^-64 birthday odds at a billion distinct subtrees); the
@@ -22,16 +25,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "geometry/hasher.h"
 #include "optimize/optimizer.h"  // FPOPT-LINT-OK(layering): key derivation fingerprints OptimizerOptions; cache stays link-level below optimize (see cache/CMakeLists.txt)
 
 namespace fpopt {
 
-struct CacheKey {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-
-  friend bool operator==(const CacheKey&, const CacheKey&) = default;
-};
+using CacheKey = Hash128;
 
 struct CacheKeyHash {
   [[nodiscard]] std::size_t operator()(const CacheKey& k) const {
@@ -46,8 +45,8 @@ struct CacheKeyHash {
 [[nodiscard]] CacheKey config_fingerprint(const OptimizerOptions& opts);
 
 /// Per-node subtree keys for the whole T', indexed by BinaryNode::id.
-/// Leaf keys hash module implementation content; internal keys hash
-/// (op, left key, right key). O(total module implementations + nodes).
+/// Leaf keys hash the module's implementation-list digest; internal keys
+/// hash (op, left key, right key). O(nodes) hash steps per call.
 [[nodiscard]] std::vector<CacheKey> derive_node_keys(const BinaryTree& btree,
                                                      const FloorplanTree& tree,
                                                      const OptimizerOptions& opts);

@@ -1,25 +1,41 @@
 #include "shape/l_list.h"
 
 #include <cassert>
+#include <type_traits>
 
 #if defined(FPOPT_VALIDATE)
 #include "check/check_shapes.h"  // FPOPT-LINT-OK(layering): FPOPT_VALIDATE post-condition hook; compiled to no-ops by default
 #endif
 
 namespace fpopt {
+namespace {
 
-bool is_irreducible_l_chain(std::span<const LImpl> chain) {
+/// The irreducibility check over shapes, or in place over entries so the
+/// LList asserts need not copy the shapes out first.
+template <typename T>
+[[nodiscard]] bool irreducible_chain(std::span<const T> chain) {
+  const auto shape = [chain](std::size_t i) -> const LImpl& {
+    if constexpr (std::is_same_v<T, LEntry>) {
+      return chain[i].shape;
+    } else {
+      return chain[i];
+    }
+  };
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    if (!chain[i].valid()) return false;
+    const LImpl& c = shape(i);
+    if (!c.valid()) return false;
     if (i == 0) continue;
-    const LImpl& p = chain[i - 1];
-    const LImpl& c = chain[i];
+    const LImpl& p = shape(i - 1);
     if (p.w2 != c.w2) return false;
     if (!(p.w1 > c.w1)) return false;          // strict, or one would dominate
     if (p.h1 > c.h1 || p.h2 > c.h2) return false;  // non-decreasing heights
   }
   return true;
 }
+
+}  // namespace
+
+bool is_irreducible_l_chain(std::span<const LImpl> chain) { return irreducible_chain(chain); }
 
 LList LList::from_prechain(std::span<const LEntry> cands) {
   LList out;
@@ -45,7 +61,7 @@ LList LList::from_prechain(std::span<const LEntry> cands) {
     }
     out.entries_.push_back(c);
   }
-  assert(is_irreducible_l_chain(out.shapes()));
+  assert(irreducible_chain(out.entries()));
   return out;
 }
 
@@ -55,7 +71,7 @@ LList LList::from_chain_unchecked(std::vector<LEntry> entries) {
 #if defined(FPOPT_VALIDATE)
   enforce(check_l_list(out, "from_chain_unchecked"), "LList::from_chain_unchecked");
 #else
-  assert(is_irreducible_l_chain(out.shapes()));
+  assert(irreducible_chain(out.entries()));
 #endif
   return out;
 }
@@ -75,7 +91,7 @@ LList LList::subset(std::span<const std::size_t> kept) const {
     assert(i == 0 || kept[i - 1] < kept[i]);
     out.entries_.push_back(entries_[kept[i]]);
   }
-  assert(is_irreducible_l_chain(out.shapes()));
+  assert(irreducible_chain(out.entries()));
   return out;
 }
 

@@ -9,8 +9,10 @@
 // and compare canonical dumps against fresh scratch runs throughout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_key.h"
@@ -274,6 +276,70 @@ TEST(IncrementalEquivalence, IdenticallyShapedModulesShareLeafKeys) {
   cache.reset_stats();
   (void)optimize_floorplan(tree2, opts);
   EXPECT_EQ(cache.stats().misses, 0u) << "renaming modules must not change cache keys";
+}
+
+/// Appends the ids of the internal nodes on the path from the leaf of
+/// `module_id` up to `node`, leaf side first; false if no such leaf is
+/// under `node`.
+bool internal_path_to(const BinaryNode& node, std::size_t module_id,
+                      std::vector<std::size_t>& path) {
+  if (node.is_leaf()) return node.module_id == module_id;
+  if (!internal_path_to(*node.left, module_id, path) &&
+      !internal_path_to(*node.right, module_id, path)) {
+    return false;
+  }
+  path.push_back(node.id);
+  return true;
+}
+
+TEST(IncrementalEquivalence, ChangedImplementationMissesOnlyItsRootPath) {
+  // A leaf key follows its module's list digest: after one implementation
+  // of one module changes, exactly that leaf's ancestors miss and every
+  // other subtree is served from the warm cache.
+  std::vector<Module> modules = some_modules(10, 909);
+  const PolishExpr expr = PolishExpr::initial(modules.size());
+  OptimizerOptions opts;
+  opts.selection.k1 = 6;
+  opts.selection.k2 = 8;
+  opts.impl_budget = 0;
+  MemoCache cache;
+  const Area old_area = incremental_run(expr.to_tree(modules), opts, cache, 0).best_area;
+
+  const std::size_t changed = 7;  // 3 of the chain's 9 internal nodes are its ancestors
+  std::vector<RectImpl> impls(modules[changed].impls.begin(), modules[changed].impls.end());
+  ASSERT_GT(impls.back().w, 1);
+  --impls.back().w;  // the narrowest implementation narrows: still irreducible
+  modules[changed].impls = RList::from_sorted_unchecked(std::move(impls));
+  const FloorplanTree tree = expr.to_tree(modules);
+  const OptimizeOutcome want = scratch_run(tree, opts, 0);
+  // The change must reach the root, or serving the old entries would
+  // still match scratch.
+  ASSERT_NE(want.best_area, old_area);
+
+  cache.reset_stats();
+  const OptimizeOutcome got = incremental_run(tree, opts, cache, 0);
+  ASSERT_FALSE(got.out_of_memory);
+  EXPECT_EQ(dump_outcome(tree, got), dump_outcome(tree, want));
+
+  const OptimizeArtifacts& art = *got.artifacts;
+  std::vector<std::size_t> path;
+  ASSERT_TRUE(internal_path_to(*art.btree.root, changed, path));
+  std::vector<const BinaryNode*> internal;
+  collect_internal(*art.btree.root, internal);
+  ASSERT_LT(path.size(), internal.size());
+  EXPECT_EQ(cache.stats().misses, path.size());
+  EXPECT_EQ(cache.stats().hits, internal.size() - path.size());
+  // Node by node: a hit is the cache entry's own object, a miss was
+  // computed fresh and published as a copy.
+  const std::vector<CacheKey> keys = derive_node_keys(art.btree, tree, opts);
+  for (const BinaryNode* node : internal) {
+    const bool on_path = std::find(path.begin(), path.end(), node->id) != path.end();
+    const CacheEntry* entry = cache.peek(keys[node->id]);
+    ASSERT_NE(entry, nullptr) << "node " << node->id;
+    EXPECT_EQ(art.nodes[node->id].get() == entry->result.get(), !on_path)
+        << "node " << node->id << (on_path ? " on the changed path was served"
+                                           : " off the changed path was recomputed");
+  }
 }
 
 TEST(IncrementalEquivalence, DifferentSelectionConfigsDoNotShareEntries) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
 
 #include "floorplan/restructure.h"
 #include "floorplan/serialize.h"
@@ -112,6 +113,37 @@ TEST(SerializeTest, ParseErrors) {
     auto m = parse_module_library("a 1x1\na 2x2\nb 1x1\n");
     return m;
   }()), ParseError);
+}
+
+TEST(ModuleTest, DigestFollowsTheListThroughCopyMoveAndAssignment) {
+  // Memo-cache leaf keys are built from the digest, so it must always be
+  // the digest of the list the module holds right now.
+  const RList list = RList::from_candidates({{8, 2}, {5, 3}, {3, 7}});
+  const RList other = RList::from_candidates({{8, 2}, {5, 3}, {3, 6}});
+  const Hash128 want = Module("fresh", list).impls.digest();
+
+  Module m("m", list);
+  EXPECT_EQ(m.impls.digest(), want);
+  const Module copy = m;
+  EXPECT_EQ(copy.impls.digest(), want);
+  Module assigned;
+  assigned = copy;
+  EXPECT_EQ(assigned.impls.digest(), want);
+  const Module moved = std::move(m);
+  EXPECT_EQ(moved.impls.digest(), want);
+  Module move_assigned;
+  move_assigned = Module("n", list);
+  EXPECT_EQ(move_assigned.impls.digest(), want);
+
+  Module changed("c", list);
+  changed.impls = other;
+  EXPECT_NE(changed.impls.digest(), want);
+  EXPECT_EQ(changed.impls.digest(), Module("fresh", other).impls.digest());
+  changed.impls = list;
+  EXPECT_EQ(changed.impls.digest(), want);
+
+  EXPECT_EQ(Module{}.impls.digest(), Module("empty", RList{}).impls.digest());
+  EXPECT_NE(Module{}.impls.digest(), want);
 }
 
 TEST(WithRotationTest, CurveBecomesSymmetricAndIrreducible) {
