@@ -33,9 +33,11 @@ class LListSet {
   [[nodiscard]] std::vector<LEntry> all_entries() const;
 
   /// Remove every implementation dominated by another one anywhere in the
-  /// set (global Pareto-minimal prune per w2 group, keeping one copy of
-  /// duplicates), then re-partition each group into irreducible chains.
-  /// Entry ids are preserved. Returns the number of entries removed.
+  /// set (global Pareto-minimal prune per w2 group, keeping the smallest id
+  /// of exact duplicates), then re-partition each group into irreducible
+  /// chains. Entry ids are preserved. With ids unique across chains, as the
+  /// combine kernels assign them, the result does not depend on the order
+  /// in which the chains were added. Returns the number of entries removed.
   std::size_t canonicalize();
 
   /// Replace the stored chains wholesale (each must be irreducible).
@@ -52,9 +54,10 @@ class LListSet {
 /// irreducible chains. Exposed separately for unit testing.
 [[nodiscard]] std::vector<LList> partition_into_chains(std::vector<LEntry> entries);
 
-/// Pareto-minimal subset of `entries` under Definition 1 dominance (one
-/// copy kept for exact duplicates). All entries must share one w2.
-/// Exposed separately for unit testing.
+/// Pareto-minimal subset of `entries` under Definition 1 dominance. Of
+/// exact duplicates (equal shape) the entry with the smallest id survives,
+/// so the result does not depend on the input order. All entries must
+/// share one w2. Exposed separately for unit testing.
 [[nodiscard]] std::vector<LEntry> pareto_min_l_entries(std::vector<LEntry> entries);
 
 }  // namespace fpopt

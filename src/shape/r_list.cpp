@@ -13,10 +13,13 @@ namespace fpopt {
 std::vector<std::size_t> prune_rect_candidates(std::span<const RectImpl> cands) {
   std::vector<std::size_t> order(cands.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  // Sort by (w asc, h asc): a candidate is redundant iff some candidate
-  // seen earlier in this order already has h <= its h.
+  // Sort by (w asc, h asc, index asc): a candidate is redundant iff some
+  // candidate seen earlier in this order already has h <= its h. The index
+  // makes the order total, so the first copy of a duplicate is kept.
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return cands[a].w != cands[b].w ? cands[a].w < cands[b].w : cands[a].h < cands[b].h;
+    if (cands[a].w != cands[b].w) return cands[a].w < cands[b].w;
+    if (cands[a].h != cands[b].h) return cands[a].h < cands[b].h;
+    return a < b;
   });
 
   std::vector<std::size_t> kept;

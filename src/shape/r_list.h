@@ -19,9 +19,10 @@ namespace fpopt {
 /// Prune a candidate set down to its Pareto-minimal (non-redundant) subset.
 ///
 /// Returns the indices of the kept candidates, ordered by width strictly
-/// decreasing (the R-list order). Exact duplicates keep one copy. The index
-/// form exists so callers (the optimizer) can subset parallel provenance
-/// arrays with the same result.
+/// decreasing (the R-list order). Of exact duplicates (equal w and h) the
+/// one with the smallest index survives, so the result does not depend on
+/// the sort algorithm. The index form exists so callers (the optimizer) can
+/// subset parallel provenance arrays with the same result.
 [[nodiscard]] std::vector<std::size_t> prune_rect_candidates(std::span<const RectImpl> cands);
 
 /// An irreducible R-list. Invariant: is_irreducible_r_list(impls()) holds.

@@ -88,14 +88,17 @@ TEST(ParetoMinTest, KeepsOneCopyOfDuplicates) {
 
 TEST(ParetoMinTest, AgreesWithQuadraticOracleOnRandomGroups) {
   Pcg32 rng(23);
-  for (int iter = 0; iter < 60; ++iter) {
+  // Wide coordinate ranges first, then narrow ones where exact duplicates
+  // are common.
+  for (int iter = 0; iter < 120; ++iter) {
+    const std::uint32_t span = iter < 60 ? 12 : 4;
     std::vector<LEntry> entries;
     const std::size_t n = 1 + rng.below(60);
     for (std::size_t i = 0; i < n; ++i) {
-      const Dim h2 = 1 + static_cast<Dim>(rng.below(12));
-      const Dim h1 = h2 + static_cast<Dim>(rng.below(12));
+      const Dim h2 = 1 + static_cast<Dim>(rng.below(span));
+      const Dim h1 = h2 + static_cast<Dim>(rng.below(span));
       entries.push_back(
-          {{7 + static_cast<Dim>(rng.below(12)), 7, h1, h2}, static_cast<std::uint32_t>(i)});
+          {{7 + static_cast<Dim>(rng.below(span)), 7, h1, h2}, static_cast<std::uint32_t>(i)});
     }
     const auto kept = pareto_min_l_entries(entries);
     // Oracle on unique shapes.
@@ -118,6 +121,13 @@ TEST(ParetoMinTest, AgreesWithQuadraticOracleOnRandomGroups) {
         if (a.id != b.id) {
           EXPECT_FALSE(a.shape.dominates(b.shape));
         }
+      }
+    }
+    // Tie rule: the survivor of a duplicate group has the group's smallest id.
+    for (const LEntry& k : kept) {
+      for (const LEntry& e : entries) {
+        EXPECT_FALSE(e.shape == k.shape && e.id < k.id)
+            << "iteration " << iter << ": " << k.shape << " kept id " << k.id << ", not " << e.id;
       }
     }
   }
@@ -159,6 +169,45 @@ TEST(LListSetCanonicalizeTest, RemovesCrossChainRedundancyAndPreservesIds) {
   std::set<std::uint32_t> ids;
   for (const LEntry& e : set.all_entries()) ids.insert(e.id);
   EXPECT_EQ(ids, (std::set<std::uint32_t>{0, 1, 3}));
+}
+
+TEST(LListSetCanonicalizeTest, ChainOrderDoesNotMatter) {
+  // Chains from a few w2 values plus subsets of them, so exact duplicates
+  // cross chains; ids are unique across chains, as the combine kernels
+  // assign them.
+  Pcg32 rng(43);
+  for (int iter = 0; iter < 40; ++iter) {
+    std::vector<LList> chains;
+    for (int c = 0; c < 6; ++c) {
+      const LList base = test::random_l_chain(8, rng, 3);
+      chains.push_back(base);
+      std::vector<std::size_t> pick;
+      for (std::size_t i = 0; i < base.size(); ++i) {
+        if (rng.below(2) == 0) pick.push_back(i);
+      }
+      if (!pick.empty()) chains.push_back(base.subset(pick));
+    }
+    std::uint32_t next_id = 0;
+    std::vector<LEntry> all;
+    for (LList& chain : chains) {
+      std::vector<LEntry> entries(chain.begin(), chain.end());
+      for (LEntry& e : entries) e.id = next_id++;
+      all.insert(all.end(), entries.begin(), entries.end());
+      chain = LList::from_chain_unchecked(std::move(entries));
+    }
+    LListSet forward;
+    LListSet reverse;
+    for (const LList& chain : chains) forward.add(chain);
+    for (auto it = chains.rbegin(); it != chains.rend(); ++it) reverse.add(*it);
+    EXPECT_EQ(forward.canonicalize(), reverse.canonicalize());
+    EXPECT_TRUE(forward == reverse) << "iteration " << iter;
+    // Each surviving shape keeps the smallest id among its copies.
+    for (const LEntry& k : forward.all_entries()) {
+      for (const LEntry& e : all) {
+        EXPECT_FALSE(e.shape == k.shape && e.id < k.id) << "iteration " << iter;
+      }
+    }
+  }
 }
 
 TEST(LListSetCanonicalizeTest, IdempotentOnRandomSets) {

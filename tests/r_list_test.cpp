@@ -86,26 +86,34 @@ class PruneRectRandomTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PruneRectRandomTest, AgreesWithQuadraticOracle) {
   Pcg32 rng(17 + GetParam());
-  std::vector<RectImpl> cands;
-  for (std::size_t i = 0; i < GetParam(); ++i) {
-    cands.push_back({1 + static_cast<Dim>(rng.below(15)), 1 + static_cast<Dim>(rng.below(15))});
-  }
-  const auto kept = prune_rect_candidates(cands);
-  // Oracle: candidate i survives iff no other candidate strictly "covers"
-  // it (dominated by a distinct, not-identical-duplicate candidate), with
-  // exactly one survivor per duplicate group.
-  std::size_t expected = 0;
-  std::vector<RectImpl> uniq = cands;
-  std::sort(uniq.begin(), uniq.end());
-  uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-  for (const RectImpl& c : uniq) {
-    bool dominated = false;
-    for (const RectImpl& other : uniq) {
-      if (other != c && c.dominates(other)) dominated = true;
+  for (int iter = 0; iter < 20; ++iter) {
+    std::vector<RectImpl> cands;
+    for (std::size_t i = 0; i < GetParam(); ++i) {
+      cands.push_back({1 + static_cast<Dim>(rng.below(15)), 1 + static_cast<Dim>(rng.below(15))});
     }
-    if (!dominated) ++expected;
+    const auto kept = prune_rect_candidates(cands);
+    // Oracle: candidate i survives iff no other candidate strictly "covers"
+    // it (dominated by a distinct, not-identical-duplicate candidate), with
+    // exactly one survivor per duplicate group.
+    std::size_t expected = 0;
+    std::vector<RectImpl> uniq = cands;
+    std::sort(uniq.begin(), uniq.end());
+    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
+    for (const RectImpl& c : uniq) {
+      bool dominated = false;
+      for (const RectImpl& other : uniq) {
+        if (other != c && c.dominates(other)) dominated = true;
+      }
+      if (!dominated) ++expected;
+    }
+    EXPECT_EQ(kept.size(), expected);
+    // Tie rule: the survivor of a duplicate group is its first index.
+    for (const std::size_t k : kept) {
+      const auto first = std::find(cands.begin(), cands.end(), cands[k]);
+      EXPECT_EQ(static_cast<std::size_t>(first - cands.begin()), k)
+          << "iteration " << iter << ": duplicate " << cands[k] << " kept a later copy";
+    }
   }
-  EXPECT_EQ(kept.size(), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PruneRectRandomTest,
