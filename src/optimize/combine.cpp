@@ -1,5 +1,6 @@
 #include "optimize/combine.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "kernel/arena.h"
@@ -45,49 +46,9 @@ void emit_chain(std::vector<LEntry>& pre_chain, std::uint32_t right_idx, LCombin
   pre_chain.clear();
 }
 
-/// Finalize one rect generation context: stack-prune the monotone
-/// candidate run (w non-increasing, h non-decreasing) and append survivors
-/// to the global candidate buffer.
-void emit_rect_run(const std::vector<RectImpl>& run, const std::vector<Prov>& run_prov,
-                   std::vector<RectImpl>& cands, std::vector<Prov>& prov,
-                   TransientScope& transient, OptimizerStats& stats) {
-  stats.total_generated += run.size();
-  const std::size_t first_kept = cands.size();
-  for (std::size_t i = 0; i < run.size(); ++i) {
-    const RectImpl c = run[i];
-    assert(i == 0 || (run[i - 1].w >= c.w && run[i - 1].h <= c.h));
-    while (cands.size() > first_kept && cands.back().dominates(c)) {
-      cands.pop_back();
-      prov.pop_back();
-    }
-    if (cands.size() > first_kept && c.dominates(cands.back())) continue;
-    cands.push_back(c);
-    prov.push_back(run_prov[i]);
-    transient.add(1);
-  }
-}
-
-/// Eager in-place dominance pruning of a candidate buffer. [9] keeps its
-/// working sets non-redundant as it goes; doing the same bounds the
-/// transient memory of a combine step by the frontier size instead of the
-/// cross-product size.
-void compact_rect(std::vector<RectImpl>& cands, std::vector<Prov>& prov,
-                  TransientScope& transient) {
-  const std::vector<std::size_t> kept = prune_rect_candidates(cands);
-  std::vector<RectImpl> new_cands;
-  std::vector<Prov> new_prov;
-  new_cands.reserve(kept.size());
-  new_prov.reserve(kept.size());
-  for (std::size_t idx : kept) {
-    new_cands.push_back(cands[idx]);
-    new_prov.push_back(prov[idx]);
-  }
-  cands = std::move(new_cands);
-  prov = std::move(new_prov);
-  transient.reset_to(cands.size());
-}
-
-/// Same idea for a growing L set: drop cross-chain redundancy eagerly.
+/// Eager dominance pruning of a growing L set. [9] keeps its working sets
+/// non-redundant as it goes; doing the same bounds the memory of a combine
+/// step by the frontier size instead of the cross-product size.
 void maybe_compact_l(LCombineResult& out, LPruning pruning, std::size_t& compact_at,
                      BudgetTracker& budget) {
   if (pruning != LPruning::GlobalEager || out.set.total_size() <= compact_at) return;
@@ -95,26 +56,58 @@ void maybe_compact_l(LCombineResult& out, LPruning pruning, std::size_t& compact
   compact_at = std::max<std::size_t>(4096, out.set.total_size() * 2);
 }
 
-RCombineResult finalize_rect(std::vector<RectImpl>& cands, std::vector<Prov>& prov) {
-  const std::vector<std::size_t> kept = prune_rect_candidates(cands);
+/// Adopt an irreducible R-list and its parallel provenance as a combine
+/// result, re-checking both under FPOPT_VALIDATE.
+RCombineResult make_rect_result(std::vector<RectImpl> impls, std::vector<Prov> prov,
+                                const char* where) {
   RCombineResult out;
-  std::vector<RectImpl> impls;
-  impls.reserve(kept.size());
-  out.prov.reserve(kept.size());
-  for (std::size_t idx : kept) {
-    impls.push_back(cands[idx]);
-    out.prov.push_back(prov[idx]);
-  }
   out.list = RList::from_sorted_unchecked(std::move(impls));
+  out.prov = std::move(prov);
 #if defined(FPOPT_VALIDATE)
   CheckResult post;
   if (out.prov.size() != out.list.size()) {
-    post.add("combine/provenance", "finalize_rect",
-             "provenance array no longer parallel to the pruned list");
+    post.add("combine/provenance", where, "provenance array no longer parallel to the pruned list");
   }
-  enforce(post, "combine finalize_rect");
+  enforce(post, where);
+#else
+  (void)where;
 #endif
   return out;
+}
+
+RCombineResult finalize_rect(const std::vector<RectImpl>& cands, const std::vector<Prov>& prov) {
+  const std::vector<std::size_t> kept = prune_rect_candidates(cands);
+  std::vector<RectImpl> impls;
+  std::vector<Prov> kept_prov;
+  impls.reserve(kept.size());
+  kept_prov.reserve(kept.size());
+  for (std::size_t idx : kept) {
+    impls.push_back(cands[idx]);
+    kept_prov.push_back(prov[idx]);
+  }
+  return make_rect_result(std::move(impls), std::move(kept_prov), "combine finalize_rect");
+}
+
+/// Merge one candidate into a staircase (w strictly decreasing, h strictly
+/// increasing) with parallel provenance. The candidate is dropped when an
+/// entry has w <= and h <= its own, an exact duplicate included, so the
+/// first arrival of a shape stays. Otherwise it goes in and evicts the
+/// entries it dominates.
+void merge_into_staircase(const RectImpl& c, const Prov& p, std::vector<RectImpl>& stair,
+                          std::vector<Prov>& stair_prov) {
+  // From `pos` on every entry has w <= c.w, and the one at `pos` has the
+  // smallest h of them.
+  const auto pos = std::partition_point(stair.begin(), stair.end(),
+                                        [&](const RectImpl& s) { return s.w > c.w; });
+  if (pos != stair.end() && pos->h <= c.h) return;
+  // c dominates the entries before `pos` with h >= c.h, and the entry at
+  // `pos` when its w equals c.w.
+  const auto lo =
+      std::partition_point(stair.begin(), pos, [&](const RectImpl& s) { return s.h < c.h; });
+  const auto hi = pos != stair.end() && pos->w == c.w ? pos + 1 : pos;
+  const auto prov_lo = stair_prov.begin() + (lo - stair.begin());
+  stair_prov.insert(stair_prov.erase(prov_lo, prov_lo + (hi - lo)), p);
+  stair.insert(stair.erase(lo, hi), c);
 }
 
 RectImpl slice_shape(const RectImpl& a, const RectImpl& b, bool horizontal) {
@@ -316,11 +309,20 @@ LCombineResult combine_wheel_extend(const LListSet& l, const RList& c, LPruning 
 RCombineResult combine_wheel_close(const LListSet& l, const RList& b, BudgetTracker& budget,
                                    OptimizerStats& stats) {
   assert(!b.empty());
+  // Each generation context (chain, b[j]) yields a monotone run (w
+  // non-increasing, h non-decreasing). It is stack-pruned, and the
+  // survivors are merged into a live staircase, which is the result.
+  //
+  // The budget still simulates [9]'s candidate buffer: every push of the
+  // run prune is charged, `charged` is the size the buffer would have, and
+  // when it passes `compact_at` the buffer is compacted to the staircase
+  // size. That is the size the buffer's own prune would leave: both count
+  // the distinct Pareto-minimal shapes seen so far.
   TransientScope transient(budget);
-  std::vector<RectImpl> cands;
-  std::vector<Prov> prov;
-  std::vector<RectImpl> run;
-  std::vector<Prov> run_prov;
+  std::vector<RectImpl> stair;
+  std::vector<Prov> stair_prov;
+  std::vector<std::uint32_t> run;  // stack-prune survivors, as row indices
+  std::size_t charged = 0;
   std::size_t compact_at = 4096;
   kernel::Arena& arena = kernel::scratch_arena();
   for (const LList& chain : l.lists()) {
@@ -329,24 +331,34 @@ RCombineResult combine_wheel_close(const LListSet& l, const RList& b, BudgetTrac
     const std::size_t n = rows.soa.n;
     Dim* ow = scope.alloc_array<Dim>(n);
     Dim* oh = scope.alloc_array<Dim>(n);
+    const auto at = [&](std::uint32_t i) { return RectImpl{ow[i], oh[i]}; };
     for (std::size_t j = 0; j < b.size(); ++j) {
-      run.clear();
-      run_prov.clear();
       // Per element: { max(w1, w2 + b_j.w), max(h1, h2 + b_j.h) }.
       kernel::max_broadcast(rows.soa.w1, n, rows.w2 + b[j].w, ow);
       kernel::max_add_broadcast(rows.soa.h1, rows.soa.h2, n, b[j].h, oh);
-      for (std::size_t i = 0; i < n; ++i) {
-        run.push_back({ow[i], oh[i]});
-        run_prov.push_back({rows.id[i], static_cast<std::uint32_t>(j)});
+      stats.total_generated += n;
+      run.clear();
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const RectImpl c = at(i);
+        assert(i == 0 || (ow[i - 1] >= c.w && oh[i - 1] <= c.h));
+        while (!run.empty() && at(run.back()).dominates(c)) run.pop_back();
+        if (!run.empty() && c.dominates(at(run.back()))) continue;
+        run.push_back(i);
+        transient.add(1);
       }
-      emit_rect_run(run, run_prov, cands, prov, transient, stats);
-      if (cands.size() > compact_at) {
-        compact_rect(cands, prov, transient);
-        compact_at = std::max<std::size_t>(4096, cands.size() * 2);
+      for (const std::uint32_t i : run) {
+        merge_into_staircase(at(i), {rows.id[i], static_cast<std::uint32_t>(j)}, stair,
+                             stair_prov);
+      }
+      charged += run.size();
+      if (charged > compact_at) {
+        charged = stair.size();
+        transient.reset_to(charged);
+        compact_at = std::max<std::size_t>(4096, charged * 2);
       }
     }
   }
-  return finalize_rect(cands, prov);
+  return make_rect_result(std::move(stair), std::move(stair_prov), "combine wheel_close");
 }
 
 }  // namespace fpopt

@@ -228,6 +228,159 @@ TEST(WheelOpsTest, ProvenanceRecomputesEveryShapeThroughTheWholeAssembly) {
   }
 }
 
+/// The collect-then-compact wheel close that the live staircase replaced,
+/// changed only by the index tie-break of prune_rect_candidates. Each run
+/// is stack-pruned into one candidate buffer, which is pruned whenever it
+/// passes `compact_at` and once more at the end. It is the oracle for the
+/// list, the provenance and every budget charge. `compactions` counts the
+/// mid-run prunes.
+RCombineResult wheel_close_reference(const LListSet& l, const RList& b, BudgetTracker& budget,
+                                     std::size_t& compactions) {
+  TransientScope transient(budget);
+  std::vector<RectImpl> cands;
+  std::vector<Prov> prov;
+  const auto prune = [&] {
+    std::vector<RectImpl> kept_cands;
+    std::vector<Prov> kept_prov;
+    for (const std::size_t k : prune_rect_candidates(cands)) {
+      kept_cands.push_back(cands[k]);
+      kept_prov.push_back(prov[k]);
+    }
+    cands = std::move(kept_cands);
+    prov = std::move(kept_prov);
+  };
+  compactions = 0;
+  std::size_t compact_at = 4096;
+  for (const LList& chain : l.lists()) {
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      const std::size_t first_kept = cands.size();
+      for (const LEntry& e : chain) {
+        const RectImpl c{std::max(e.shape.w1, e.shape.w2 + b[j].w),
+                         std::max(e.shape.h1, e.shape.h2 + b[j].h)};
+        while (cands.size() > first_kept && cands.back().dominates(c)) {
+          cands.pop_back();
+          prov.pop_back();
+        }
+        if (cands.size() > first_kept && c.dominates(cands.back())) continue;
+        cands.push_back(c);
+        prov.push_back({e.id, static_cast<std::uint32_t>(j)});
+        transient.add(1);
+      }
+      if (cands.size() > compact_at) {
+        prune();
+        transient.reset_to(cands.size());
+        compact_at = std::max<std::size_t>(4096, cands.size() * 2);
+        ++compactions;
+      }
+    }
+  }
+  prune();
+  return {RList::from_sorted_unchecked(std::move(cands)), std::move(prov)};
+}
+
+/// Random chains over a few w2 values with small steps, so wheel close
+/// sees many exact duplicates. Ids are unique across chains, as the
+/// combine kernels assign them.
+LListSet random_l_set(std::size_t chains, std::size_t len, Pcg32& rng) {
+  LListSet set;
+  std::uint32_t next_id = 0;
+  for (std::size_t c = 0; c < chains; ++c) {
+    const LList chain = test::random_l_chain(len, rng, 3);
+    std::vector<LEntry> entries(chain.begin(), chain.end());
+    for (LEntry& e : entries) e.id = next_id++;
+    set.add(LList::from_chain_unchecked(std::move(entries)));
+  }
+  return set;
+}
+
+/// The L set a real wheel hands to its close: stack, fill and extend of
+/// random children, each canonicalized as the optimizer does.
+LListSet assembled_l_set(std::size_t n, Pcg32& rng) {
+  Ctx ctx;
+  const RList d = test::random_r_list(n, rng, 3);
+  const RList a = test::random_r_list(n, rng, 3);
+  const RList e = test::random_r_list(n, rng, 3);
+  const RList c = test::random_r_list(n, rng, 3);
+  LCombineResult stack = combine_wheel_stack(d, a, LPruning::GlobalAtNode, ctx.budget, ctx.stats);
+  stack.set.canonicalize();
+  LCombineResult notch =
+      combine_wheel_fill_notch(stack.set, e, LPruning::GlobalAtNode, ctx.budget, ctx.stats);
+  notch.set.canonicalize();
+  LCombineResult extend =
+      combine_wheel_extend(notch.set, c, LPruning::GlobalAtNode, ctx.budget, ctx.stats);
+  extend.set.canonicalize();
+  return extend.set;
+}
+
+/// What a close run leaves in its budget tracker: whether it aborted, the
+/// counts at the abort, and the peaks.
+struct CloseBudget {
+  bool aborted = false;
+  std::size_t stored_at_abort = 0;
+  std::size_t transient_at_abort = 0;
+  std::size_t peak_transient = 0;
+  std::size_t peak_total = 0;
+
+  friend bool operator==(const CloseBudget&, const CloseBudget&) = default;
+};
+
+template <typename CloseFn>
+CloseBudget run_close_under_budget(std::size_t impl_budget, CloseFn&& close) {
+  BudgetTracker budget(impl_budget);
+  CloseBudget out;
+  try {
+    close(budget);
+  } catch (const MemoryLimitExceeded& e) {
+    out.aborted = true;
+    out.stored_at_abort = e.stored;
+    out.transient_at_abort = e.transient;
+  }
+  out.peak_transient = budget.peak_transient();
+  out.peak_total = budget.peak_total();
+  return out;
+}
+
+TEST(WheelCloseTest, StaircaseMatchesCollectThenCompactReference) {
+  Pcg32 rng(97);
+  for (int iter = 0; iter < 8; ++iter) {
+    const LListSet l = iter % 2 == 0 ? random_l_set(800, 12, rng) : assembled_l_set(28, rng);
+    const RList b = test::random_r_list(20, rng, 3);
+
+    BudgetTracker ref_budget(0);
+    std::size_t compactions = 0;
+    const RCombineResult want = wheel_close_reference(l, b, ref_budget, compactions);
+    ASSERT_GE(compactions, 3u) << "iteration " << iter << " must cross compact_at repeatedly";
+
+    Ctx ctx;
+    const RCombineResult got = combine_wheel_close(l, b, ctx.budget, ctx.stats);
+    EXPECT_EQ(got.list, want.list) << "iteration " << iter;
+    EXPECT_EQ(got.prov, want.prov) << "iteration " << iter;
+    EXPECT_EQ(ctx.stats.total_generated, l.total_size() * b.size());
+    EXPECT_EQ(ctx.budget.peak_transient(), ref_budget.peak_transient()) << "iteration " << iter;
+    EXPECT_EQ(ctx.budget.peak_total(), ref_budget.peak_total()) << "iteration " << iter;
+    EXPECT_EQ(ctx.budget.peak_stored(), ref_budget.peak_stored());
+
+    // The abort comes at the same budgets, with the same counts.
+    const std::size_t peak = ref_budget.peak_total();
+    for (const std::size_t impl_budget :
+         {peak / 4, peak / 2, peak - peak / 4, peak - 1, peak, peak + 1}) {
+      const CloseBudget ref = run_close_under_budget(impl_budget, [&](BudgetTracker& t) {
+        std::size_t ignored = 0;
+        (void)wheel_close_reference(l, b, t, ignored);
+      });
+      const CloseBudget fast = run_close_under_budget(impl_budget, [&](BudgetTracker& t) {
+        OptimizerStats stats;
+        (void)combine_wheel_close(l, b, t, stats);
+      });
+      EXPECT_EQ(ref.aborted, impl_budget < peak) << "budget " << impl_budget;
+      EXPECT_TRUE(fast == ref) << "iteration " << iter << ", budget " << impl_budget
+                               << ": aborted " << fast.aborted << " vs " << ref.aborted
+                               << ", peak total " << fast.peak_total << " vs "
+                               << ref.peak_total;
+    }
+  }
+}
+
 TEST(BudgetTest, CombineAbortsWhenBudgetExceeded) {
   OptimizerStats stats;
   BudgetTracker tight(10);
