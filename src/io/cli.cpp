@@ -125,6 +125,10 @@ ParsedArgs parse_args(const std::vector<std::string>& args) {
       parsed.options.impl_budget = static_cast<std::size_t>(parse_long(a, need_value()));
     } else if (a == "--threads") {
       parsed.options.threads = static_cast<std::size_t>(parse_long(a, need_value()));
+      if (parsed.options.threads > OptimizerOptions::kMaxThreads) {
+        throw CliError{"--threads must be at most " +
+                       std::to_string(OptimizerOptions::kMaxThreads)};
+      }
     } else if (a == "--incremental") {
       parsed.options.incremental = true;
       parsed.anneal.incremental = true;

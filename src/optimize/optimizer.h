@@ -12,15 +12,16 @@
 // simulates the paper's memory exhaustion and aborts the run when the
 // total live implementation count exceeds it.
 //
-// With OptimizerOptions::threads > 0 the engine evaluates T' on a
-// work-stealing thread pool: every internal node becomes a task that
-// fires once both children's NodeResults are ready, and the selection /
-// error-table kernels inside a node additionally split their DP layers
-// across the same workers. The parallel mode is *deterministic* — node
-// lists, provenance, selection certificates, stats counters and the
-// memory-budget abort decision are bit-identical to the serial engine
-// for every thread count (see docs/ALGORITHMS.md §7 for the scheduling
-// and budget-accounting model).
+// There is one engine with two schedules. With OptimizerOptions::threads
+// == 0 it evaluates T' in a plain postorder loop. With threads > 0 it
+// runs on a work-stealing thread pool: every internal node becomes a
+// task that fires once both children's NodeResults are ready, and the
+// selection / error-table kernels inside a node additionally split their
+// DP layers across the same workers. The result is *deterministic* —
+// node lists, provenance, selection certificates, stats counters and the
+// memory-budget abort decision are bit-identical for every thread count
+// (see docs/ALGORITHMS.md §7 for the scheduling and budget-accounting
+// model).
 //
 // With OptimizerOptions::incremental and a MemoCache, the engine serves
 // every T' node whose content-addressed subtree key is already cached —
@@ -78,12 +79,14 @@ struct OptimizerOptions {
   /// for the node finishes. See LPruning for the two other modes.
   LPruning l_pruning = LPruning::GlobalAtNode;
   RestructureOptions restructure;
-  /// Worker threads for the parallel engine. 0 = the serial engine
-  /// (unchanged code path); N >= 1 = dependency-counting bottom-up
-  /// schedule over T' on an N-worker work-stealing pool, with the hot
-  /// selection kernels parallelized inside each node. Results are
-  /// bit-identical for every value.
+  /// Pool workers. 0 = no pool: a postorder loop on the calling thread;
+  /// N >= 1 = dependency-counting bottom-up schedule over T' on an
+  /// N-worker work-stealing pool (the calling thread helps too), with the
+  /// hot selection kernels parallelized inside each node. Results are
+  /// bit-identical for every value. At most kMaxThreads: the CLI flag
+  /// parsers and the fpoptd protocol reject larger values.
   std::size_t threads = 0;
+  static constexpr std::size_t kMaxThreads = 256;
   /// Incremental mode: serve every T' node whose content-addressed
   /// subtree key is present in `cache` from the cache (only the dirty
   /// root-path of a move is recomputed) and publish the recomputed nodes
@@ -101,7 +104,7 @@ struct OptimizerOptions {
   /// view: a run-local MemoCache, or a per-request CacheSession over the
   /// daemon's SharedMemoCache (cache/shared_cache.h).
   CacheView* cache = nullptr;
-  /// Optional externally owned pool for the parallel engine (threads >
+  /// Optional externally owned pool for the pool schedule (threads >
   /// 0). When null the engine spins up its own `threads`-worker pool for
   /// the run — the standalone behavior. A long-running process (fpoptd)
   /// passes one process-wide pool instead so concurrent runs share the

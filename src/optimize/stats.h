@@ -31,9 +31,9 @@ struct OptimizerStats {
   std::size_t final_stored = 0;     ///< retained at the end of the run
   std::size_t peak_transient = 0;   ///< largest candidate buffer
   /// Peak of stored + transient — the quantity the impl_budget check is
-  /// applied to. In parallel mode this is the *serial schedule's* peak,
-  /// reconstructed from per-node profiles (see optimizer.cpp), so it is
-  /// identical for every thread count.
+  /// applied to. It is the *serial schedule's* peak, folded from per-node
+  /// profiles (see optimizer.cpp), so it is identical for every thread
+  /// count.
   std::size_t peak_live = 0;
   std::size_t total_generated = 0;  ///< candidates ever emitted
   std::size_t nodes_evaluated = 0;  ///< tree nodes combined this run
@@ -58,8 +58,12 @@ struct OptimizerStats {
 
 class BudgetTracker {
  public:
-  /// budget == 0 means unlimited.
-  explicit BudgetTracker(std::size_t budget) : budget_(budget) {}
+  /// budget == 0 means unlimited. `live_before` implementations are held
+  /// elsewhere when the tracker starts (the optimizer passes what earlier
+  /// nodes keep): they count against the budget, not towards stored() or
+  /// the peaks.
+  explicit BudgetTracker(std::size_t budget, std::size_t live_before = 0)
+      : budget_(budget), live_before_(live_before) {}
 
   /// Both adders are exception-safe: a rejected add leaves the tracker
   /// unchanged (the optimizer aborts on the exception regardless, but
@@ -83,17 +87,18 @@ class BudgetTracker {
   [[nodiscard]] std::size_t stored() const { return stored_; }
   [[nodiscard]] std::size_t peak_stored() const { return peak_stored_; }
   [[nodiscard]] std::size_t peak_transient() const { return peak_transient_; }
-  /// Peak of stored + transient (what check() compares to the budget).
+  /// Peak of stored + transient (check() adds live_before to it).
   [[nodiscard]] std::size_t peak_total() const { return peak_total_; }
 
  private:
   void check(std::size_t incoming) const {
-    if (budget_ != 0 && stored_ + transient_ + incoming > budget_) {
+    if (budget_ != 0 && live_before_ + stored_ + transient_ + incoming > budget_) {
       throw MemoryLimitExceeded{stored_, transient_};
     }
   }
 
   std::size_t budget_;
+  std::size_t live_before_;
   std::size_t stored_ = 0;
   std::size_t peak_stored_ = 0;
   std::size_t transient_ = 0;

@@ -75,6 +75,11 @@ void apply_option(const std::string& key, const JsonValue& v, ServiceRequest& ou
     out.budget_set = true;
   } else if (key == "threads") {
     options.threads = option_uint(key, v);
+    if (options.threads > OptimizerOptions::kMaxThreads) {
+      throw DecodeFail{ServiceErrorCode::kOption,
+                       "option 'threads' must be at most " +
+                           std::to_string(OptimizerOptions::kMaxThreads)};
+    }
   } else if (key == "incremental") {
     options.incremental = option_bool(key, v);
   } else if (key == "cache_mb") {

@@ -145,6 +145,15 @@ TEST_F(CliTest, K1OfOneIsAUsageError) {
   EXPECT_EQ(run({"optimize", topo_path_, lib_path_, "--k1", "2"}), 0) << err_.str();
 }
 
+// Regression: --threads took any value, and a run-owned pool started that
+// many OS threads. `stats` parses the flags without running the optimizer,
+// so the largest accepted value is checked without starting a pool.
+TEST_F(CliTest, ThreadsAboveTheCapIsAUsageError) {
+  EXPECT_EQ(run({"optimize", topo_path_, lib_path_, "--threads", "257"}), 2);
+  EXPECT_NE(err_.str().find("--threads must be at most 256"), std::string::npos) << err_.str();
+  EXPECT_EQ(run({"stats", topo_path_, lib_path_, "--threads", "256"}), 0) << err_.str();
+}
+
 TEST_F(CliTest, SvgWritesAFile) {
   const std::string svg_path = unique_path("cli_test.svg");
   std::remove(svg_path.c_str());

@@ -173,6 +173,15 @@ TEST(OptimizerTest, MemoryBudgetAbortsLikeTheSparc) {
   EXPECT_EQ(out.artifacts, nullptr);
   EXPECT_EQ(out.best_area, 0);
   EXPECT_GT(out.stats.peak_stored + out.stats.peak_transient, 0u);
+  // The run stops where [9]'s single counter of live implementations
+  // does. These are the abort-time stats of an engine that threaded one
+  // BudgetTracker through the whole postorder run.
+  EXPECT_EQ(out.stats.nodes_evaluated, 7u);
+  EXPECT_EQ(out.stats.total_generated, 3'519u);
+  EXPECT_EQ(out.stats.peak_stored, 1'978u);
+  EXPECT_EQ(out.stats.peak_transient, 21u);
+  EXPECT_EQ(out.stats.peak_live, 1'991u);
+  EXPECT_EQ(out.stats.final_stored, 1'978u);
 }
 
 TEST(OptimizerTest, SelectionRescuesABudgetThatExactModeBusts) {

@@ -102,6 +102,9 @@ TEST(ServiceProtocol, DistinctErrorCodesPerFailureClass) {
       {"{\"fpopt_request\":{\"schema_version\":1,\"command\":\"optimize\","
        "\"topology\":\"(V m0 m1)\",\"library\":\"\",\"options\":{\"k1\":1}}}",
        "E_OPTION"},  // k1 must be 0 or at least 2
+      {"{\"fpopt_request\":{\"schema_version\":1,\"command\":\"optimize\","
+       "\"topology\":\"(V m0 m1)\",\"library\":\"\",\"options\":{\"threads\":257}}}",
+       "E_OPTION"},  // threads must be at most 256
       // Traffic-policy members: integer 0..2 priority, bounded deadline,
       // run commands only.
       {"{\"fpopt_request\":{\"schema_version\":1,\"command\":\"optimize\","

@@ -62,6 +62,27 @@ TEST(BudgetTrackerTest, RejectedAddLeavesPeaksUntouched) {
   EXPECT_EQ(t.peak_transient(), 20u);
 }
 
+TEST(BudgetTrackerTest, LiveBeforeCountsAgainstTheBudgetOnly) {
+  BudgetTracker t(100, 60);
+  t.add_stored(30);
+  t.add_transient(10);  // 60 held before + 40: exactly at the budget
+  EXPECT_THROW(t.add_stored(1), MemoryLimitExceeded);
+  EXPECT_THROW(t.add_transient(1), MemoryLimitExceeded);
+  EXPECT_EQ(t.stored(), 30u);
+  EXPECT_EQ(t.peak_stored(), 30u);
+  EXPECT_EQ(t.peak_transient(), 10u);
+  EXPECT_EQ(t.peak_total(), 40u) << "peaks stay relative to the tracker's start";
+}
+
+TEST(BudgetTrackerTest, LiveBeforeAtTheBudgetRejectsTheFirstAdd) {
+  // What earlier nodes hold already fills the budget: not one more fits.
+  BudgetTracker t(100, 100);
+  EXPECT_THROW(t.add_stored(1), MemoryLimitExceeded);
+  EXPECT_THROW(t.add_transient(1), MemoryLimitExceeded);
+  EXPECT_EQ(t.stored(), 0u);
+  EXPECT_EQ(t.peak_total(), 0u);
+}
+
 TEST(BudgetTrackerTest, ZeroBudgetMeansUnlimited) {
   BudgetTracker t(0);
   t.add_stored(1'000'000);

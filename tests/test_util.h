@@ -6,12 +6,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <ios>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/l_error.h"
 #include "floorplan/tree.h"
 #include "geometry/l_impl.h"
 #include "geometry/rect_impl.h"
+#include "optimize/stats.h"
 #include "shape/l_list.h"
 #include "shape/r_list.h"
 #include "workload/rng.h"
@@ -149,6 +153,22 @@ inline Area brute_force_tree_area(const FloorplanTree& tree) {
   };
   rec(0);
   return best;
+}
+
+/// Every OptimizerStats field but `seconds`, doubles in hexfloat, so that
+/// equal strings mean bit-equal stats.
+inline std::string serialize_stats(const OptimizerStats& st) {
+  std::ostringstream s;
+  s << std::hexfloat;
+  s << "peak_stored=" << st.peak_stored << " final_stored=" << st.final_stored
+    << " peak_transient=" << st.peak_transient << " peak_live=" << st.peak_live
+    << " generated=" << st.total_generated << " nodes=" << st.nodes_evaluated
+    << " rsel=" << st.r_selection_calls << '/' << st.r_selected_away << '/'
+    << st.r_selection_error << " lsel=" << st.l_selection_calls << '/'
+    << st.l_selected_away << '/' << st.l_selection_error << " cspp=" << st.cspp_calls << '/'
+    << st.cspp_monge_calls << " heur=" << st.l_heuristic_prereductions
+    << " maxlists=" << st.max_rlist_len << '/' << st.max_llist_len;
+  return s.str();
 }
 
 }  // namespace fpopt::test

@@ -58,7 +58,8 @@ TEST(ThreadPool, SingleWorkerStillCompletes) {
 TEST(ThreadPool, DependencyCountingOrdersTasks) {
   // A reduction tree like the optimizer's T' schedule: node i of a layer
   // fires only after both inputs from the layer below completed. The
-  // atomic pending counters are exactly the scheme ParallelEngine uses.
+  // atomic pending counters are exactly the scheme of the optimizer
+  // engine's pool schedule.
   ThreadPool pool(4);
   constexpr std::size_t kLeaves = 64;
   // values[layer][i]; each internal node sums its two children.
