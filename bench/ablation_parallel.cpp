@@ -1,4 +1,4 @@
-// Parallel-engine ablation: serial vs N-thread wall time on table-scale
+// Pool-schedule ablation: serial vs N-thread wall time on table-scale
 // workloads, with the determinism contract checked on every run (equal
 // best areas, byte-equal root curves).
 //

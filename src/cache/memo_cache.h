@@ -19,12 +19,12 @@
 // them. Evictions are permanent either way — losing an entry can only
 // cause a recompute, never a wrong result.
 //
-// The cache is deliberately NOT thread-safe: the engines probe it in a
+// The cache is deliberately NOT thread-safe: the engine probes it in a
 // serial pre-pass before fanning work out and publish new entries in a
 // serial post-pass (in postorder, so the cache's content and LRU order
 // are identical for every thread count). Concurrent requests share work
 // through SharedMemoCache + per-request CacheSession (shared_cache.h),
-// which speak the same CacheView interface the engines consume.
+// which speak the same CacheView interface the engine consumes.
 #pragma once
 
 #include <cstddef>
@@ -76,7 +76,7 @@ struct CacheEntry {
   std::size_t bytes = 0;
 };
 
-/// The engine-facing cache interface. The engines' serve/publish passes
+/// The engine-facing cache interface. The engine's serve/publish passes
 /// only ever probe and insert, so any store that can answer those two —
 /// the run-local MemoCache, or a per-request CacheSession over the
 /// daemon's shared cross-request cache (shared_cache.h) — plugs into

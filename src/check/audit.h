@@ -59,7 +59,7 @@ struct IncrementalAuditReport {
   [[nodiscard]] bool ok() const { return checks.ok(); }
 };
 
-/// Independent proof of the incremental engine's contract on one
+/// Independent proof of the incremental mode's contract on one
 /// floorplan: run the optimizer from scratch, then twice in incremental
 /// mode against one fresh memo cache (a cold run that populates it and a
 /// warm run served from it), and require the canonical artifact dumps —

@@ -4,8 +4,8 @@
 // requests — one process-wide work-stealing ThreadPool and one
 // SharedMemoCache — and executes every request through the same
 // execution core as the standalone CLI (io/command.h). The determinism
-// contracts underneath (parallel engine bit-identical for every worker
-// count, incremental engine byte-identical for any cache content) are
+// contracts underneath (the engine's pool schedule bit-identical for every
+// worker count, incremental runs byte-identical for any cache content) are
 // what make this safe: a response is a pure function of its request
 // document, no matter what other requests ran before or concurrently.
 //

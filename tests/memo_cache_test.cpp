@@ -1,6 +1,6 @@
 // Unit tests for the content-addressed memo cache (src/cache/): LRU
 // ordering, byte-budget eviction, epoch commit/rollback semantics, and
-// the cache-key derivation rules the incremental engine relies on.
+// the cache-key derivation rules the incremental mode relies on.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -279,7 +279,7 @@ TEST(ParallelFuzzTest, PooledReduceLSetMatchesSerial) {
 
 TEST(ParallelFuzzTest, ParallelOptimizeArtifactsValidate) {
   // End-to-end fuzz of the parallel combine/selection store paths: random
-  // small workloads through the full parallel engine. Under FPOPT_VALIDATE
+  // small workloads through the engine's pool schedule. Under FPOPT_VALIDATE
   // every stored node list is checked inside the optimizer itself; here we
   // additionally require serial/parallel artifact equality.
   Pcg32 rng(1212);
