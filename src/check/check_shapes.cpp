@@ -75,6 +75,11 @@ CheckResult check_l_list(std::span<const LImpl> chain, std::string_view where) {
               "(h1, h2) must be componentwise non-decreasing: " + l_str(prev) + " then " +
                   l_str(cur));
     }
+    if (prev.h1 == cur.h1 && prev.h2 == cur.h2) {
+      res.add("l-list/redundant", at(where, i),
+              "equal (h1, h2) make the wider entry redundant (Def. 1): " + l_str(prev) +
+                  " then " + l_str(cur));
+    }
   }
   return res;
 }

@@ -26,10 +26,10 @@ namespace fpopt {
 [[nodiscard]] CheckResult check_r_list(const RList& list, std::string_view where = "r-list");
 
 /// Definition 3: every shape canonically valid, constant w2, strictly
-/// decreasing w1, componentwise non-decreasing (h1, h2). Strictness of the
-/// w1 order doubles as within-chain dominance-freedom. The span overload
-/// exists so tests can feed doctored chains that LList's own constructors
-/// would reject.
+/// decreasing w1, componentwise non-decreasing (h1, h2) that differs
+/// between neighbours. The strict w1 order and the rising height together
+/// are within-chain dominance-freedom. The span overload exists so tests
+/// can feed doctored chains that LList's own constructors would reject.
 [[nodiscard]] CheckResult check_l_list(std::span<const LImpl> chain,
                                        std::string_view where = "l-list");
 [[nodiscard]] CheckResult check_l_list(const LList& chain, std::string_view where = "l-list");

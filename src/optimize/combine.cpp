@@ -6,6 +6,7 @@
 #include "kernel/arena.h"
 #include "kernel/soa.h"
 #include "kernel/sweep.h"
+#include "telemetry/trace.h"
 
 #if defined(FPOPT_VALIDATE)
 #include "check/check_shapes.h"  // FPOPT-LINT-OK(layering): FPOPT_VALIDATE post-condition hook; compiled to no-ops by default
@@ -52,6 +53,8 @@ void emit_chain(std::vector<LEntry>& pre_chain, std::uint32_t right_idx, LCombin
 void maybe_compact_l(LCombineResult& out, LPruning pruning, std::size_t& compact_at,
                      BudgetTracker& budget) {
   if (pruning != LPruning::GlobalEager || out.set.total_size() <= compact_at) return;
+  telemetry::TraceSpan span(telemetry::TraceCat::kKernel, "canonicalize", out.set.total_size(),
+                            out.set.list_count());
   budget.sub_stored(out.set.canonicalize());
   compact_at = std::max<std::size_t>(4096, out.set.total_size() * 2);
 }
@@ -245,6 +248,13 @@ namespace {
 /// columns for one rect via the row helpers; this function assembles them
 /// into pre-chains in the original (chain, j, i) order with the original
 /// per-candidate budget charge.
+///
+/// The chains of one input chain are added in j order, and that is where
+/// most redundancy sits: a fill-notch entry (i, j) is redundant against
+/// (i, j-1) once w2 + r_{j-1}.w <= w1_i, and an extend entry (i, j-1)
+/// against (i, j) while r_j.h <= h2_i. `LListSet::canonicalize` drops
+/// what a neighbouring chain makes redundant before its sweep, so this
+/// order makes it fast; its result does not depend on the order.
 template <typename RowOpFn>
 LCombineResult combine_l_with_rect(const LListSet& l, const RList& r, RowOpFn&& row_op,
                                    LPruning pruning, BudgetTracker& budget,

@@ -139,6 +139,8 @@ class NodeEvaluator {
   /// Section 5 L_Selection policy when the set exceeds K2.
   void store_l(NodeResult& res, LCombineResult&& combined) {
     if (opts_.l_pruning != LPruning::PerChain) {
+      telemetry::TraceSpan span(telemetry::TraceCat::kKernel, "canonicalize",
+                                combined.set.total_size(), combined.set.list_count());
       budget_.sub_stored(combined.set.canonicalize());
     }
     stats_.max_llist_len = std::max(stats_.max_llist_len, combined.set.total_size());

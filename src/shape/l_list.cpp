@@ -29,6 +29,7 @@ template <typename T>
     if (p.w2 != c.w2) return false;
     if (!(p.w1 > c.w1)) return false;          // strict, or one would dominate
     if (p.h1 > c.h1 || p.h2 > c.h2) return false;  // non-decreasing heights
+    if (p.h1 == c.h1 && p.h2 == c.h2) return false;  // or the wider one is redundant
   }
   return true;
 }

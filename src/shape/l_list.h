@@ -1,7 +1,9 @@
 // Irreducible L-lists (Definitions 3 and 5 of the paper).
 //
 // Within one L-list all implementations share the top-edge width w2, while
-// w1 strictly decreases and (h1, h2) componentwise never decreases. This is
+// w1 strictly decreases and (h1, h2) componentwise never decreases, with at
+// least one of the two heights rising at every step (two neighbours with
+// equal heights would make the wider one redundant). This is
 // the chain structure the DAC'90 optimizer produces naturally: combining a
 // child R-list (w decreasing, h increasing) with one fixed sibling
 // implementation yields exactly such a chain.
@@ -29,8 +31,8 @@ struct LEntry {
 };
 
 /// True iff `chain` is an irreducible L-list: constant w2, strictly
-/// decreasing w1, componentwise non-decreasing (h1,h2) with consecutive
-/// elements distinct, and every element canonically valid.
+/// decreasing w1, componentwise non-decreasing (h1,h2) that differs
+/// between consecutive elements, and every element canonically valid.
 [[nodiscard]] bool is_irreducible_l_chain(std::span<const LImpl> chain);
 
 /// An irreducible L-list. Invariant: is_irreducible_l_chain(shapes) holds.

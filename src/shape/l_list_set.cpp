@@ -2,9 +2,35 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <numeric>
 
 namespace fpopt {
+namespace {
+
+/// Flag each entry e of chain `b` that an entry of chain `a` (same w2)
+/// makes redundant: e dominates it and differs from it, or equals it and
+/// has the larger id, the sweep's tie rule. In both chains w1 strictly falls and the heights
+/// never fall, so the entries of `a` with w1 <= e.w1 form a suffix of `a`
+/// whose first entry has the smallest heights in it. No two entries of a
+/// chain share both heights, so e is redundant against `a` exactly when
+/// that entry's heights are both <= e's. The suffix start only moves
+/// forward as e.w1 falls: one pass over each chain.
+void flag_redundant_against(const LList& a, const LList& b, std::uint8_t* drop_b) {
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < b.size(); ++j) {
+    const LEntry& e = b[j];
+    while (i < a.size() && a[i].shape.w1 > e.shape.w1) ++i;
+    if (i == a.size()) return;
+    const LEntry& f = a[i];
+    if (f.shape.h1 <= e.shape.h1 && f.shape.h2 <= e.shape.h2 &&
+        (f.shape != e.shape || f.id < e.id)) {
+      drop_b[j] = 1;
+    }
+  }
+}
+
+}  // namespace
 
 void LListSet::add(LList list) {
   if (list.empty()) return;
@@ -112,21 +138,40 @@ std::size_t LListSet::canonicalize() {
   const std::size_t before = total_;
 
   // Every chain has one w2, so grouping whole chains by w2 groups the
-  // entries. The order of chains within a group does not matter: the
-  // Pareto sweep sorts each group by a total order.
+  // entries. The stable sort keeps each group's chains in the order they
+  // were added, which is where the combine kernels put related chains.
   std::vector<std::size_t> order(lists_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return lists_[a].w2() < lists_[b].w2(); });
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return lists_[a].w2() < lists_[b].w2(); });
 
   std::vector<LList> new_lists;
+  std::vector<std::uint8_t> drop;  // per entry of the group, chain after chain
   for (std::size_t lo = 0; lo < order.size();) {
     const Dim w2 = lists_[order[lo]].w2();
-    std::vector<LEntry> group;
     std::size_t hi = lo;
+    std::size_t size = 0;
     for (; hi < order.size() && lists_[order[hi]].w2() == w2; ++hi) {
-      const LList& chain = lists_[order[hi]];
-      group.insert(group.end(), chain.begin(), chain.end());
+      size += lists_[order[hi]].size();
+    }
+    // Drop what a neighbouring chain makes redundant before the sweep has
+    // to sort it. That cannot change the Pareto set: an entry the sweep
+    // keeps loses to nothing, so it is never dropped, and every other
+    // survivor still loses to one of those.
+    drop.assign(size, 0);
+    for (std::size_t k = lo, off = 0; k + 1 < hi; ++k) {
+      const LList& a = lists_[order[k]];
+      const LList& b = lists_[order[k + 1]];
+      flag_redundant_against(a, b, drop.data() + off + a.size());
+      flag_redundant_against(b, a, drop.data() + off);
+      off += a.size();
+    }
+    std::vector<LEntry> group;
+    group.reserve(size - static_cast<std::size_t>(std::count(drop.begin(), drop.end(), 1)));
+    for (std::size_t k = lo, off = 0; k < hi; ++k) {
+      for (const LEntry& e : lists_[order[k]]) {
+        if (drop[off++] == 0) group.push_back(e);
+      }
     }
     for (LList& c : partition_into_chains(pareto_min_l_entries(std::move(group)))) {
       new_lists.push_back(std::move(c));

@@ -35,9 +35,14 @@ class LListSet {
   /// Remove every implementation dominated by another one anywhere in the
   /// set (global Pareto-minimal prune per w2 group, keeping the smallest id
   /// of exact duplicates), then re-partition each group into irreducible
-  /// chains. Entry ids are preserved. With ids unique across chains, as the
-  /// combine kernels assign them, the result does not depend on the order
-  /// in which the chains were added. Returns the number of entries removed.
+  /// chains. Entry ids are preserved. Returns the number of entries removed.
+  ///
+  /// Each group's chains are first compared with their neighbours in the
+  /// order they were added, and what a neighbour makes redundant is dropped
+  /// before the Pareto sweep sorts the rest. With ids unique across chains,
+  /// as the combine kernels assign them, the result does not depend on the
+  /// order in which the chains were added; only the speed does, since the
+  /// combine kernels add related chains next to each other.
   std::size_t canonicalize();
 
   /// Replace the stored chains wholesale (each must be irreducible).

@@ -55,7 +55,7 @@ namespace fpopt::telemetry {
 enum class TraceCat : std::uint8_t {
   kPhase,   ///< coarse run phases (restructure, evaluate, calibrate, search)
   kNode,    ///< one T' node evaluation; id = node id, args carry child ids
-  kKernel,  ///< selection/CSPP kernels; id = problem size n, arg = k
+  kKernel,  ///< selection/CSPP kernels, canonicalize; id = problem size n, arg = k or chains
   kCache,   ///< memo serve/publish/epoch; id = node id
   kPool,    ///< work-stealing traffic; scheduling-dependent, never compared
   kAnneal,  ///< annealing moves; id = attempt index

@@ -88,6 +88,9 @@ TEST(CheckLListTest, RejectsBrokenChains) {
   const std::vector<LImpl> h_drop{{10, 5, 6, 3}, {9, 5, 5, 3}};
   EXPECT_TRUE(has_rule(check_l_list(h_drop), "l-list/height-order"));
 
+  const std::vector<LImpl> equal_heights{{10, 5, 6, 3}, {8, 5, 6, 3}};  // the wider is redundant
+  EXPECT_TRUE(has_rule(check_l_list(equal_heights), "l-list/redundant"));
+
   const std::vector<LImpl> invalid{{4, 5, 6, 3}};  // w1 < w2
   EXPECT_TRUE(has_rule(check_l_list(invalid), "l-list/invalid-shape"));
 }

@@ -2,14 +2,58 @@
 // L-list sets (global pruning + chain partition).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
+#include "optimize/combine.h"
 #include "shape/l_list.h"
 #include "shape/l_list_set.h"
 #include "test_util.h"
 
 namespace fpopt {
 namespace {
+
+/// What canonicalize must return, computed without its neighbour pass:
+/// each whole w2 group goes through the Pareto sweep, then into chains.
+struct WholeGroupSweep {
+  LListSet set;
+  std::size_t removed = 0;
+};
+
+WholeGroupSweep sweep_whole_groups(const LListSet& in) {
+  std::map<Dim, std::vector<LEntry>> groups;
+  for (const LList& chain : in.lists()) {
+    std::vector<LEntry>& group = groups[chain.w2()];
+    group.insert(group.end(), chain.begin(), chain.end());
+  }
+  std::vector<LList> lists;
+  for (auto& [w2, group] : groups) {
+    for (LList& c : partition_into_chains(pareto_min_l_entries(std::move(group)))) {
+      lists.push_back(std::move(c));
+    }
+  }
+  WholeGroupSweep out;
+  out.set.replace_lists(std::move(lists));
+  out.removed = in.total_size() - out.set.total_size();
+  return out;
+}
+
+/// Canonicalize a copy of `set`; expect the whole-group sweep's set and
+/// removed count. Returns the removed count.
+std::size_t expect_matches_whole_sweep(LListSet set, const std::string& what) {
+  const WholeGroupSweep want = sweep_whole_groups(set);
+  const std::size_t removed = set.canonicalize();
+  EXPECT_EQ(removed, want.removed) << what;
+  EXPECT_TRUE(set == want.set) << what;
+  return removed;
+}
+
+std::set<std::uint32_t> ids_of(const LListSet& set) {
+  std::set<std::uint32_t> ids;
+  for (const LEntry& e : set.all_entries()) ids.insert(e.id);
+  return ids;
+}
 
 TEST(LChainTest, IrreducibleDetection) {
   const std::vector<LImpl> good{{12, 5, 6, 3}, {10, 5, 7, 4}, {8, 5, 9, 4}};
@@ -20,6 +64,8 @@ TEST(LChainTest, IrreducibleDetection) {
   EXPECT_FALSE(is_irreducible_l_chain(equal_w1));
   const std::vector<LImpl> decreasing_h{{12, 5, 6, 3}, {10, 5, 5, 3}};
   EXPECT_FALSE(is_irreducible_l_chain(decreasing_h));
+  const std::vector<LImpl> equal_heights{{10, 5, 6, 3}, {8, 5, 6, 3}};  // the wider is redundant
+  EXPECT_FALSE(is_irreducible_l_chain(equal_heights));
   EXPECT_TRUE(is_irreducible_l_chain(std::vector<LImpl>{}));
 }
 
@@ -207,6 +253,99 @@ TEST(LListSetCanonicalizeTest, ChainOrderDoesNotMatter) {
         EXPECT_FALSE(e.shape == k.shape && e.id < k.id) << "iteration " << iter;
       }
     }
+  }
+}
+
+TEST(LListSetCanonicalizeTest, MatchesWholeGroupSweepOnKernelOutput) {
+  // Stack, fill and extend of random children with node-level pruning, as
+  // a wheel is assembled: each kernel adds the chains of one input chain
+  // next to each other, so most redundancy is between neighbours.
+  Pcg32 rng(47);
+  BudgetTracker budget(0);
+  OptimizerStats stats;
+  std::size_t removed = 0;
+  for (int iter = 0; iter < 30; ++iter) {
+    const std::size_t n = 2 + rng.below(14);
+    const RList d = test::random_r_list(n, rng, 3);
+    const RList a = test::random_r_list(n, rng, 3);
+    const RList e = test::random_r_list(n, rng, 3);
+    const RList c = test::random_r_list(n, rng, 3);
+    const std::string at = "iteration " + std::to_string(iter);
+    LCombineResult stack = combine_wheel_stack(d, a, LPruning::GlobalAtNode, budget, stats);
+    removed += expect_matches_whole_sweep(stack.set, at + " stack");
+    stack.set.canonicalize();
+    LCombineResult notch =
+        combine_wheel_fill_notch(stack.set, e, LPruning::GlobalAtNode, budget, stats);
+    removed += expect_matches_whole_sweep(notch.set, at + " fill notch");
+    notch.set.canonicalize();
+    const LCombineResult extend =
+        combine_wheel_extend(notch.set, c, LPruning::GlobalAtNode, budget, stats);
+    removed += expect_matches_whole_sweep(extend.set, at + " extend");
+  }
+  EXPECT_GT(removed, 0u) << "the kernels' sets carry cross-chain redundancy";
+}
+
+TEST(LListSetCanonicalizeTest, SweepRemovesWhatOnlyADistantChainDominates) {
+  // B is incomparable with A and C, so the redundant entry's only witness
+  // is not its neighbour, whichever of A and C comes first.
+  const LList a = LList::from_chain_unchecked({{{12, 5, 6, 3}, 0}});
+  const LList b = LList::from_chain_unchecked({{{8, 5, 9, 2}, 1}});
+  const LList c = LList::from_chain_unchecked({{{13, 5, 7, 4}, 2}});
+  for (const bool forward : {true, false}) {
+    LListSet set;
+    set.add(forward ? a : c);
+    set.add(b);
+    set.add(forward ? c : a);
+    expect_matches_whole_sweep(set, forward ? "A, B, C" : "C, B, A");
+    EXPECT_EQ(set.canonicalize(), 1u);
+    EXPECT_EQ(ids_of(set), (std::set<std::uint32_t>{0, 1}));
+  }
+}
+
+TEST(LListSetCanonicalizeTest, KeepsTheSmallerIdOfNeighbouringDuplicates) {
+  // Two neighbouring chains with the same two shapes; each chain holds the
+  // smaller id of one of them.
+  const LList x = LList::from_chain_unchecked({{{12, 5, 6, 3}, 0}, {{10, 5, 7, 4}, 5}});
+  const LList y = LList::from_chain_unchecked({{{12, 5, 6, 3}, 4}, {{10, 5, 7, 4}, 1}});
+  for (const bool forward : {true, false}) {
+    LListSet set;
+    set.add(forward ? x : y);
+    set.add(forward ? y : x);
+    expect_matches_whole_sweep(set, forward ? "x, y" : "y, x");
+    EXPECT_EQ(set.canonicalize(), 2u);
+    EXPECT_EQ(ids_of(set), (std::set<std::uint32_t>{0, 1}));
+  }
+}
+
+TEST(LListSetCanonicalizeTest, MatchesWholeGroupSweepOnRandomSets) {
+  // Chains over few w2 values plus subsets of them, in random order, so
+  // duplicates and redundant entries sit in neighbouring and in distant
+  // chains.
+  Pcg32 rng(53);
+  for (int iter = 0; iter < 60; ++iter) {
+    std::vector<LList> chains;
+    std::uint32_t next_id = 0;
+    for (int k = 0; k < 8; ++k) {
+      const LList base = test::random_l_chain(1 + rng.below(8), rng, 3);
+      const bool shared_w2 = rng.below(2) == 0;
+      std::vector<LEntry> entries(base.begin(), base.end());
+      for (LEntry& e : entries) {
+        if (shared_w2) e.shape.w2 = 5;  // random_l_chain's smallest w2
+        e.id = next_id++;
+      }
+      std::vector<LEntry> subset;
+      for (const LEntry& e : entries) {
+        if (rng.below(2) == 0) subset.push_back({e.shape, next_id++});
+      }
+      chains.push_back(LList::from_chain_unchecked(std::move(entries)));
+      if (!subset.empty()) chains.push_back(LList::from_chain_unchecked(std::move(subset)));
+    }
+    for (std::size_t i = chains.size(); i > 1; --i) {
+      std::swap(chains[i - 1], chains[rng.below(static_cast<std::uint32_t>(i))]);
+    }
+    LListSet set;
+    for (const LList& chain : chains) set.add(chain);
+    expect_matches_whole_sweep(set, "iteration " + std::to_string(iter));
   }
 }
 
