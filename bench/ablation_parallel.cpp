@@ -2,16 +2,24 @@
 // workloads, with the determinism contract checked on every run (equal
 // best areas, byte-equal root curves).
 //
+// Every cell is timed kTrials times and reported as the median with the
+// min and max. A cell with T pool workers has T + 1 executors, because
+// TaskGroup::wait runs queued tasks on the calling thread.
+//
 // Emits machine-readable BENCH_parallel.json next to the binary:
-//   {"hardware_concurrency": C,
+//   {"hardware_concurrency": C, "trials": N,
 //    "workloads": [{"name": ..., "serial_seconds": S,
-//                   "runs": [{"threads": T, "seconds": W, "speedup": S/W}],
+//                   "serial_min_seconds": ..., "serial_max_seconds": ...,
+//                   "runs": [{"threads": T, "executors": T + 1,
+//                             "seconds": W, "min_seconds": ...,
+//                             "max_seconds": ..., "speedup": S/W}],
 //                   "best_speedup": ...,
 //                   "run_report": {"fpopt_run_report": ...}}]}
-// The embedded run_report is the serial run's full telemetry document
-// (schema v1, validated in CI by fpopt_report_check).
-// Speedups depend on the runner; the acceptance target (>= 2x on a
-// Table-3/4-scale workload) assumes a 4+-core machine. See EXPERIMENTS.md.
+// The seconds fields are medians. The embedded run_report is the serial
+// run's full telemetry document (schema v1, validated in CI by
+// fpopt_report_check). Speedups depend on the runner; the acceptance
+// target (>= 2x on a Table-3/4-scale workload) assumes a 4+-core
+// machine. See EXPERIMENTS.md.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -39,34 +47,43 @@ struct Workload {
   OptimizerOptions opts;
 };
 
-struct Run {
-  std::size_t threads = 0;
-  double seconds = 0;
+constexpr int kTrials = 11;
+
+/// Median, min and max wall time of one cell's trials.
+struct Timing {
+  double median = 0;
+  double min = 0;
+  double max = 0;
 };
 
-/// Best of three runs (damps cold-start and scheduler noise). When
-/// `last_out` is non-null it receives the final rep's full outcome (for
-/// the embedded run report).
-double time_run(const Workload& w, std::size_t threads, Area& area_out, std::size_t& curve_out,
+/// Times kTrials runs. When `last_out` is non-null it receives the final
+/// trial's full outcome (for the embedded run report).
+Timing time_run(const Workload& w, std::size_t threads, Area& area_out, std::size_t& curve_out,
                 OptimizeOutcome* last_out = nullptr) {
   OptimizerOptions opts = w.opts;
   opts.threads = threads;
-  double best = 0;
-  for (int rep = 0; rep < 3; ++rep) {
+  std::vector<double> secs;
+  for (int trial = 0; trial < kTrials; ++trial) {
     const auto t0 = std::chrono::steady_clock::now();
     OptimizeOutcome out = optimize_floorplan(w.tree, opts);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    secs.push_back(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
     if (out.out_of_memory) {
       std::cerr << "FATAL: workload " << w.name << " exceeded its memory budget\n";
       std::exit(1);
     }
     area_out = out.best_area;
     curve_out = out.root.size();
-    if (rep == 0 || secs < best) best = secs;
     if (last_out != nullptr) *last_out = std::move(out);
   }
-  return best;
+  std::sort(secs.begin(), secs.end());
+  return {secs[secs.size() / 2], secs.front(), secs.back()};
+}
+
+std::string ms(double seconds) {
+  std::ostringstream out;
+  out.precision(3);
+  out << std::fixed << seconds * 1e3 << " ms";
+  return out.str();
 }
 
 /// One extra (untimed) run with the event tracer armed; the schedule
@@ -106,26 +123,36 @@ int main() {
   // Table-3-scale (the acceptance workload): FP3 case 1, exact — the
   // 120-module run whose node DAG has the widest independent subtrees.
   workloads.push_back({"fp3_case1_exact", make_paper_floorplan(3, 1), exact_options()});
-  // Table-4-scale: FP4 case 3 (N = 40) with the paper's R+L selection
-  // knobs — exercises the pooled selection/error-table kernels.
+  // Table-4-scale: FP4 case 3 (N = 40) with K2 = 50: many short L
+  // selections.
   workloads.push_back(
       {"fp4_case3_rl", make_paper_floorplan(4, 3), rl_selection_options(40, 50, 0.8, 256)});
+  // Table 4's own configuration (FP4 case 1: K1 = 40, K2 = 1000,
+  // theta = 0.75, S = 1024, budget 395,000), the one the bounded_fp4
+  // benchmark workload runs: fewer, longer L selections.
+  workloads.push_back({"fp4_case1_table4", make_paper_floorplan(4, 1),
+                       rl_selection_options(40, 1000, 0.75, 1024)});
 
   std::ostringstream json;
-  json << "{\n  \"hardware_concurrency\": " << hw << ",\n  \"workloads\": [";
-  std::cout << "parallel ablation (hardware_concurrency " << hw << ")\n\n";
+  json << "{\n  \"hardware_concurrency\": " << hw << ", \"trials\": " << kTrials
+       << ",\n  \"workloads\": [";
+  std::cout << "parallel ablation (hardware_concurrency " << hw << "; median [min, max] of "
+            << kTrials << " trials per cell)\n\n";
 
   bool first_workload = true;
   for (const Workload& w : workloads) {
     Area serial_area = 0;
     std::size_t serial_curve = 0;
     OptimizeOutcome serial_out;
-    const double serial_secs = time_run(w, 0, serial_area, serial_curve, &serial_out);
-    std::cout << w.name << ": serial " << serial_secs << " s (area " << serial_area << ", "
-              << serial_curve << " root impls)\n";
+    const Timing serial = time_run(w, 0, serial_area, serial_curve, &serial_out);
+    std::cout << w.name << " (area " << serial_area << ", " << serial_curve << " root impls)\n"
+              << "  serial, 1 executor: " << ms(serial.median) << " [" << ms(serial.min)
+              << ", " << ms(serial.max) << "]\n";
 
     json << (first_workload ? "" : ",") << "\n    {\"name\": \"" << w.name
-         << "\", \"serial_seconds\": " << serial_secs << ", \"runs\": [";
+         << "\", \"serial_seconds\": " << serial.median
+         << ", \"serial_min_seconds\": " << serial.min
+         << ", \"serial_max_seconds\": " << serial.max << ", \"runs\": [";
     first_workload = false;
 
     double best_speedup = 0;
@@ -133,18 +160,21 @@ int main() {
     for (const std::size_t threads : thread_counts) {
       Area area = 0;
       std::size_t curve = 0;
-      const double secs = time_run(w, threads, area, curve);
+      const Timing t = time_run(w, threads, area, curve);
       if (area != serial_area || curve != serial_curve) {
         std::cerr << "FATAL: threads=" << threads << " diverged from serial on " << w.name
                   << " (area " << area << " vs " << serial_area << ")\n";
         return 1;
       }
-      const double speedup = secs > 0 ? serial_secs / secs : 0;
+      const double speedup = t.median > 0 ? serial.median / t.median : 0;
       best_speedup = std::max(best_speedup, speedup);
-      std::cout << "  threads " << threads << ": " << secs << " s  (speedup " << speedup
-                << ")\n";
+      std::cout << "  " << threads << " workers, " << threads + 1
+                << " executors: " << ms(t.median) << " [" << ms(t.min) << ", " << ms(t.max)
+                << "]  (speedup " << speedup << ")\n";
       json << (first_run ? "" : ", ") << "{\"threads\": " << threads
-           << ", \"seconds\": " << secs << ", \"speedup\": " << speedup << "}";
+           << ", \"executors\": " << threads + 1 << ", \"seconds\": " << t.median
+           << ", \"min_seconds\": " << t.min << ", \"max_seconds\": " << t.max
+           << ", \"speedup\": " << speedup << "}";
       first_run = false;
     }
     telemetry::RunReport report("ablation_parallel", w.name);

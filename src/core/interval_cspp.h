@@ -17,15 +17,6 @@
 //    The staircase area cost of R_Selection is Monge (see r_error.h), and
 //    so is the L1 chain cost of L_Selection; tests cross-check both
 //    evaluators on random inputs.
-//
-// Both evaluators optionally run their per-layer work on a ThreadPool:
-// the literal DP splits the layer's row range across workers (each row's
-// predecessor scan is independent), and the Monge divide-and-conquer
-// spawns its two independent half-intervals as tasks. Every DP cell is
-// computed by exactly the same scan as in serial mode and written to its
-// own slot, so results are bit-identical for every worker count. The
-// weight callable must be safe to invoke concurrently (the oracles in
-// r_error.h / l_error.h are: const queries over immutable prefix sums).
 #pragma once
 
 #include <algorithm>
@@ -36,8 +27,6 @@
 #include <vector>
 
 #include "geometry/types.h"
-#include "runtime/parallel.h"
-#include "runtime/thread_pool.h"
 #include "telemetry/trace.h"
 
 namespace fpopt {
@@ -92,26 +81,18 @@ inline IntervalCsppResult retrieve_interval_path(
 
 /// Literal layered DP over the complete interval DAG.
 /// `weight(i, j)` must be valid for all 0 <= i < j <= n-1 and non-negative.
-/// Preconditions: n >= 2, 2 <= k <= n. A non-null `pool` splits each
-/// layer's rows across workers (identical results, see header comment).
+/// Preconditions: n >= 2, 2 <= k <= n.
 template <typename WeightFn>
 [[nodiscard]] IntervalCsppResult interval_constrained_shortest_path(std::size_t n, std::size_t k,
-                                                                    WeightFn&& weight,
-                                                                    ThreadPool* pool = nullptr) {
+                                                                    WeightFn&& weight) {
   assert(n >= 2 && k >= 2 && k <= n);
-  // Kernel spans are identified by problem size, never by which node (or
-  // which reduce_l_set chain) called them: the caller's identity is
-  // thread-local context that parallel_for would smear across workers,
-  // while (n, k) is a pure function of the input.
+  // Kernel spans are identified by problem size, a pure function of the
+  // input, never by the node that called them.
   telemetry::TraceSpan span(telemetry::TraceCat::kKernel, "cspp", n, k);
 
   std::vector<Weight> prev(n, kInfiniteWeight);
   std::vector<Weight> cur(n, kInfiniteWeight);
   std::vector<std::vector<std::uint32_t>> parent(k + 1, std::vector<std::uint32_t>(n, 0));
-
-  // A row j scans O(j) predecessors; size chunks so each task does a few
-  // thousand weight queries regardless of n.
-  const std::size_t row_grain = std::max<std::size_t>(8, 8192 / std::max<std::size_t>(n, 1));
 
   prev[0] = 0;  // layer 1: only the first element is reachable
   for (std::size_t l = 2; l <= k; ++l) {
@@ -120,12 +101,11 @@ template <typename WeightFn>
     const std::size_t j_lo = l - 1;
     const std::size_t j_hi = n - 1 - (k - l);
     std::fill(cur.begin(), cur.end(), kInfiniteWeight);
-    std::vector<std::uint32_t>& parent_row = parent[l];
-    parallel_for(pool, j_lo, j_hi + 1, row_grain, [&](std::size_t j) {
+    for (std::size_t j = j_lo; j <= j_hi; ++j) {
       const auto [best, best_i] = detail::best_predecessor(prev, weight, j, l - 2, j - 1);
       cur[j] = best;
-      parent_row[j] = static_cast<std::uint32_t>(best_i);
-    });
+      parent[l][j] = static_cast<std::uint32_t>(best_i);
+    }
     std::swap(prev, cur);
   }
 
@@ -154,51 +134,14 @@ void monge_layer(const std::vector<Weight>& prev, std::vector<Weight>& cur,
   if (j_mid < j_hi) monge_layer(prev, cur, parent_row, weight, j_mid + 1, j_hi, best_i, i_hi);
 }
 
-/// Row intervals narrower than this are not worth a task submission.
-inline constexpr std::size_t kMongeTaskSpan = 384;
-
-/// Task-parallel variant of monge_layer: the two half-intervals after the
-/// midpoint cell are independent, so the left half is spawned into `group`
-/// while this frame loops on the right half. Every cell runs the exact
-/// serial scan (first-minimum tie-break preserved), so the filled layer is
-/// bit-identical to monge_layer's.
-template <typename WeightFn>
-void monge_layer_tasks(const std::vector<Weight>& prev, std::vector<Weight>& cur,
-                       std::vector<std::uint32_t>& parent_row, WeightFn& weight,
-                       std::size_t j_lo, std::size_t j_hi, std::size_t i_lo, std::size_t i_hi,
-                       TaskGroup& group) {
-  for (;;) {
-    if (j_lo > j_hi) return;
-    if (j_hi - j_lo < kMongeTaskSpan) {
-      monge_layer(prev, cur, parent_row, weight, j_lo, j_hi, i_lo, i_hi);
-      return;
-    }
-    const std::size_t j_mid = j_lo + (j_hi - j_lo) / 2;
-    const auto [best, best_i] =
-        best_predecessor(prev, weight, j_mid, i_lo, std::min(i_hi, j_mid - 1));
-    cur[j_mid] = best;
-    parent_row[j_mid] = static_cast<std::uint32_t>(best_i);
-
-    if (j_mid > j_lo) {
-      group.run([&prev, &cur, &parent_row, &weight, &group, j_lo, j_end = j_mid - 1, i_lo,
-                 i_cap = best_i] {
-        monge_layer_tasks(prev, cur, parent_row, weight, j_lo, j_end, i_lo, i_cap, group);
-      });
-    }
-    if (j_mid == j_hi) return;
-    j_lo = j_mid + 1;
-    i_lo = best_i;
-  }
-}
-
 }  // namespace detail
 
 /// Same contract as interval_constrained_shortest_path, but O(k n log n)
-/// weight queries. Exact only for quadrangle-inequality weights. A
-/// non-null `pool` runs the divide-and-conquer halves as parallel tasks.
+/// weight queries. Exact only for quadrangle-inequality weights.
 template <typename WeightFn>
-[[nodiscard]] IntervalCsppResult interval_constrained_shortest_path_monge(
-    std::size_t n, std::size_t k, WeightFn&& weight, ThreadPool* pool = nullptr) {
+[[nodiscard]] IntervalCsppResult interval_constrained_shortest_path_monge(std::size_t n,
+                                                                          std::size_t k,
+                                                                          WeightFn&& weight) {
   assert(n >= 2 && k >= 2 && k <= n);
   telemetry::TraceSpan span(telemetry::TraceCat::kKernel, "cspp_monge", n, k);
 
@@ -214,14 +157,7 @@ template <typename WeightFn>
     // range in a complete interval DAG, so no infinity handling is needed
     // inside the divide-and-conquer.
     std::fill(cur.begin(), cur.end(), kInfiniteWeight);
-    if (pool != nullptr && j_hi - j_lo >= detail::kMongeTaskSpan) {
-      TaskGroup group(pool);
-      detail::monge_layer_tasks(prev, cur, parent[l], weight, j_lo, j_hi, l - 2, j_hi - 1,
-                                group);
-      group.wait();
-    } else {
-      detail::monge_layer(prev, cur, parent[l], weight, j_lo, j_hi, l - 2, j_hi - 1);
-    }
+    detail::monge_layer(prev, cur, parent[l], weight, j_lo, j_hi, l - 2, j_hi - 1);
     std::swap(prev, cur);
   }
 

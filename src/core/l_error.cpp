@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "core/r_error.h"  // triangular_index
-#include "runtime/parallel.h"
 #include "shape/l_list.h"
 
 namespace fpopt {
@@ -26,15 +25,11 @@ Weight l_dist(const LImpl& a, const LImpl& b, LpMetric metric) {
   return 0;  // unreachable
 }
 
-std::vector<Weight> compute_l_error_table(std::span<const LImpl> chain, LpMetric metric,
-                                          ThreadPool* pool) {
+std::vector<Weight> compute_l_error_table(std::span<const LImpl> chain, LpMetric metric) {
   assert(is_irreducible_l_chain(chain));
   const std::size_t n = chain.size();
   std::vector<Weight> table(n >= 2 ? n * (n - 1) / 2 : 0, 0);
-  // Row i owns the contiguous triangular slice for all j > i, so rows can
-  // be filled concurrently without sharing any output cell. Rows get
-  // cheaper as i grows; a small fixed row grain keeps tasks balanced.
-  parallel_for(pool, 0, n >= 2 ? n - 1 : 0, 4, [&](std::size_t i) {
+  for (std::size_t i = 0; i + 1 < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       Weight e = 0;
       for (std::size_t q = i + 1; q < j; ++q) {
@@ -42,7 +37,7 @@ std::vector<Weight> compute_l_error_table(std::span<const LImpl> chain, LpMetric
       }
       table[triangular_index(n, i, j)] = e;
     }
-  });
+  }
   return table;
 }
 

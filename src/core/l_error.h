@@ -35,8 +35,6 @@
 
 namespace fpopt {
 
-class ThreadPool;
-
 /// Which L_p metric measures shape difference (paper footnote 2).
 enum class LpMetric { L1, L2, LInf };
 
@@ -45,13 +43,10 @@ enum class LpMetric { L1, L2, LInf };
 
 /// Algorithm Compute_L_Error: all error(l_i, l_j), i < j, in a flat
 /// triangular table (see triangular_index in r_error.h). O(n^3) time.
-/// `chain` must be an irreducible L-list. A non-null `pool` computes the
-/// rows concurrently (each row writes its own triangular slice and the
-/// per-entry summation order is unchanged, so the table is bit-identical
-/// for every worker count).
+/// `chain` must be an irreducible L-list. Each entry sums its terms in
+/// q-ascending order.
 [[nodiscard]] std::vector<Weight> compute_l_error_table(std::span<const LImpl> chain,
-                                                        LpMetric metric,
-                                                        ThreadPool* pool = nullptr);
+                                                        LpMetric metric);
 
 /// O(log n)-per-query error(i, j) evaluation, L1 metric only.
 class L1ErrorOracle {

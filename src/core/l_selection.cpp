@@ -7,7 +7,6 @@
 
 #include "core/interval_cspp.h"
 #include "core/r_error.h"  // triangular_index
-#include "runtime/parallel.h"
 #include "telemetry/trace.h"
 
 #if defined(FPOPT_VALIDATE)
@@ -44,8 +43,7 @@ Weight l_subset_error(std::span<const LImpl> chain, std::span<const std::size_t>
 
 }  // namespace
 
-SelectionResult l_selection(const LList& chain, std::size_t k, const LSelectionOptions& opts,
-                            ThreadPool* pool) {
+SelectionResult l_selection(const LList& chain, std::size_t k, const LSelectionOptions& opts) {
   const std::size_t n = chain.size();
   if (k == 0 || k >= n) return keep_everything(n);
   assert(k >= 2 && "a reduced L-list must keep both chain endpoints");
@@ -59,18 +57,18 @@ SelectionResult l_selection(const LList& chain, std::size_t k, const LSelectionO
     const L1ErrorOracle oracle(shapes);
     const IntervalCsppResult path =
         (opts.dp == SelectionDp::Generic)
-            ? interval_constrained_shortest_path(n, k, oracle, pool)
-            : interval_constrained_shortest_path_monge(n, k, oracle, pool);
+            ? interval_constrained_shortest_path(n, k, oracle)
+            : interval_constrained_shortest_path_monge(n, k, oracle);
     result = {path.indices, path.weight};
   } else {
     // Non-L1 metrics: the paper's table-based path (Compute_L_Error is the
     // O(n^3) dominant cost of Theorem 3). Monge is only established for L1,
     // so Auto falls back to the literal DP here.
-    const std::vector<Weight> table = compute_l_error_table(shapes, opts.metric, pool);
+    const std::vector<Weight> table = compute_l_error_table(shapes, opts.metric);
     const auto weight = [&table, n](std::size_t i, std::size_t j) {
       return table[triangular_index(n, i, j)];
     };
-    const IntervalCsppResult path = interval_constrained_shortest_path(n, k, weight, pool);
+    const IntervalCsppResult path = interval_constrained_shortest_path(n, k, weight);
     result = {path.indices, path.weight};
   }
 #if defined(FPOPT_VALIDATE)
@@ -155,27 +153,35 @@ std::vector<std::size_t> heuristic_subsample_indices(std::size_t n, std::size_t 
   return idx;
 }
 
-Weight reduce_l_list(LList& chain, std::size_t k, const LSelectionOptions& opts,
-                     ThreadPool* pool) {
+namespace {
+
+/// reduce_l_list, counting the selector runs and S-cap pre-passes it makes
+/// into `counts`.
+Weight reduce_chain(LList& chain, std::size_t k, const LSelectionOptions& opts,
+                    LReductionReport& counts) {
   const std::size_t n = chain.size();
   if (k == 0 || n <= k) return 0;
 
+  ++counts.chains_reduced;
+  ++counts.cspp_calls;
+  if (opts.metric == LpMetric::L1 && opts.dp != SelectionDp::Generic) ++counts.cspp_monge_calls;
   const LList original = chain;
   std::vector<std::size_t> survivors;
 
   if (opts.heuristic_cap > 0 && n > opts.heuristic_cap &&
       opts.heuristic_cap > std::max<std::size_t>(k, 2)) {
     // Two-stage reduction: cheap heuristic to S, then optimal to k.
+    ++counts.heuristic_prereductions;
     const std::vector<std::size_t> coarse =
         opts.heuristic == LHeuristic::GreedyDrop
             ? greedy_drop_indices(chain, opts.heuristic_cap, opts.metric)
             : heuristic_subsample_indices(n, opts.heuristic_cap);
     const LList coarse_chain = chain.subset(coarse);
-    const SelectionResult sel = l_selection(coarse_chain, k, opts, pool);
+    const SelectionResult sel = l_selection(coarse_chain, k, opts);
     survivors.reserve(sel.kept.size());
     for (std::size_t pos : sel.kept) survivors.push_back(coarse[pos]);
   } else {
-    survivors = l_selection(chain, k, opts, pool).kept;
+    survivors = l_selection(chain, k, opts).kept;
   }
 
   chain = original.subset(survivors);
@@ -191,8 +197,15 @@ Weight reduce_l_list(LList& chain, std::size_t k, const LSelectionOptions& opts,
   return error;
 }
 
+}  // namespace
+
+Weight reduce_l_list(LList& chain, std::size_t k, const LSelectionOptions& opts) {
+  LReductionReport ignored;
+  return reduce_chain(chain, k, opts, ignored);
+}
+
 LReductionReport reduce_l_set(LListSet& set, std::size_t k2, double theta,
-                              const LSelectionOptions& opts, ThreadPool* pool) {
+                              const LSelectionOptions& opts) {
   // id = set size before reduction (deterministic); untriggered calls
   // still record a (cheap) span so trace diffs see every invocation.
   telemetry::TraceSpan span(telemetry::TraceCat::kKernel, "reduce_l_set", set.total_size(),
@@ -207,35 +220,14 @@ LReductionReport reduce_l_set(LListSet& set, std::size_t k2, double theta,
   if (!(static_cast<double>(k2) / static_cast<double>(n_total) < theta)) return report;
 
   report.triggered = true;
-  const std::span<const LList> lists = set.lists();
-  std::vector<LList> reduced(lists.size());
-  std::vector<Weight> errors(lists.size(), 0);
-  // Chains reduce independently; run them concurrently and let each chain
-  // also use the pool internally for its error table / DP layers. The
-  // per-chain errors are summed in chain order below, so the report (a
-  // sum of doubles) does not depend on completion order.
-  parallel_for(pool, 0, lists.size(), 1, [&](std::size_t i) {
-    LList copy = lists[i];
+  std::vector<LList> reduced;
+  reduced.reserve(set.list_count());
+  for (const LList& list : set.lists()) {
+    LList copy = list;
     const std::size_t budget =
-        std::max<std::size_t>(2, k2 * lists[i].size() / n_total);  // floor(K2 |L| / N)
-    errors[i] = reduce_l_list(copy, budget, opts, pool);
-    reduced[i] = std::move(copy);
-  });
-  for (const Weight e : errors) report.total_error += e;
-  // Counters are derived from the same deterministic per-chain conditions
-  // reduce_l_list applies, so the report does not depend on scheduling.
-  for (std::size_t i = 0; i < lists.size(); ++i) {
-    const std::size_t budget = std::max<std::size_t>(2, k2 * lists[i].size() / n_total);
-    if (lists[i].size() <= budget) continue;
-    ++report.chains_reduced;
-    ++report.cspp_calls;
-    if (opts.metric == LpMetric::L1 && opts.dp != SelectionDp::Generic) {
-      ++report.cspp_monge_calls;
-    }
-    if (opts.heuristic_cap > 0 && lists[i].size() > opts.heuristic_cap &&
-        opts.heuristic_cap > std::max<std::size_t>(budget, 2)) {
-      ++report.heuristic_prereductions;
-    }
+        std::max<std::size_t>(2, k2 * list.size() / n_total);  // floor(K2 |L| / N)
+    report.total_error += reduce_chain(copy, budget, opts, report);
+    reduced.push_back(std::move(copy));
   }
   set.replace_lists(std::move(reduced));
   report.after = set.total_size();

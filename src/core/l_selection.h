@@ -50,11 +50,8 @@ struct LSelectionOptions {
 
 /// Optimal k-subset of one irreducible L-list (indices into `chain`).
 /// k == 0 or k >= size keeps everything. Endpoints always survive.
-/// A non-null `pool` parallelizes the error-table precomputation and the
-/// DP layers; results are bit-identical for every worker count.
 [[nodiscard]] SelectionResult l_selection(const LList& chain, std::size_t k,
-                                          const LSelectionOptions& opts = {},
-                                          ThreadPool* pool = nullptr);
+                                          const LSelectionOptions& opts = {});
 
 /// The unspecified "heuristic version of L_Selection" used for the S cap:
 /// evenly spaced positions of 0..n-1 including both endpoints.
@@ -69,8 +66,7 @@ struct LSelectionOptions {
 
 /// Reduce one chain to `k` entries (heuristic cap first if configured,
 /// then optimal selection). Returns the total selection error paid.
-[[nodiscard]] Weight reduce_l_list(LList& chain, std::size_t k, const LSelectionOptions& opts,
-                                   ThreadPool* pool = nullptr);
+[[nodiscard]] Weight reduce_l_list(LList& chain, std::size_t k, const LSelectionOptions& opts);
 
 struct LReductionReport {
   bool triggered = false;      ///< false when X <= K2/theta (Section 5 trigger)
@@ -86,12 +82,9 @@ struct LReductionReport {
 /// Reduce an L-block's whole implementation store from N = set.total_size()
 /// to (about) K2, splitting the budget across lists in proportion to their
 /// sizes: each list of length |L| gets max(2, floor(K2 |L| / N)).
-/// theta in (0, 1]: reduction only happens when K2 < theta * N.
-/// A non-null `pool` reduces the chains concurrently (each chain's
-/// reduction is independent; the reported total error is summed in chain
-/// order, so the report is bit-identical for every worker count).
+/// theta in (0, 1]: reduction only happens when K2 < theta * N. The
+/// per-list errors are summed in chain order.
 [[nodiscard]] LReductionReport reduce_l_set(LListSet& set, std::size_t k2, double theta,
-                                            const LSelectionOptions& opts = {},
-                                            ThreadPool* pool = nullptr);
+                                            const LSelectionOptions& opts = {});
 
 }  // namespace fpopt

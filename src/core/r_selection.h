@@ -15,8 +15,6 @@
 
 namespace fpopt {
 
-class ThreadPool;
-
 /// Outcome of a selection: the kept positions (strictly increasing,
 /// always including 0 and n-1 when n >= 2) and the total error paid.
 struct SelectionResult {
@@ -31,18 +29,14 @@ enum class SelectionDp { Auto, Generic, Monge };
 
 /// Optimal k-subset of `list`. If k >= list.size() (or k == 0, meaning "no
 /// limit"), everything is kept with zero error. Requires k >= 2 when a real
-/// reduction happens (the two staircase endpoints must survive). A
-/// non-null `pool` parallelizes the DP layers; results are bit-identical
-/// for every worker count (see interval_cspp.h).
+/// reduction happens (the two staircase endpoints must survive).
 [[nodiscard]] SelectionResult r_selection(const RList& list, std::size_t k,
-                                          SelectionDp dp = SelectionDp::Auto,
-                                          ThreadPool* pool = nullptr);
+                                          SelectionDp dp = SelectionDp::Auto);
 
 /// Dual problem: the smallest subset whose optimal selection error does
 /// not exceed `max_error` (>= 0). Binary-searches k using the fact that
 /// the optimal error is non-increasing in k; k == n always qualifies.
 [[nodiscard]] SelectionResult r_selection_for_error(const RList& list, Weight max_error,
-                                                    SelectionDp dp = SelectionDp::Auto,
-                                                    ThreadPool* pool = nullptr);
+                                                    SelectionDp dp = SelectionDp::Auto);
 
 }  // namespace fpopt

@@ -3,20 +3,17 @@
 #include <algorithm>
 #include <cassert>
 
-#include "kernel/arena.h"
-#include "kernel/soa.h"
-#include "kernel/sweep.h"
 #include "telemetry/trace.h"
 
 #if defined(FPOPT_VALIDATE)
 #include "check/check_shapes.h"  // FPOPT-LINT-OK(layering): FPOPT_VALIDATE post-condition hook; compiled to no-ops by default
 #endif
 
-// Float-accumulation audit (docs/ALGORITHMS.md §11): every combine row
+// Float-accumulation audit (docs/ALGORITHMS.md §11): every combine loop
 // below is pure int64 arithmetic — min/max/+ over Dim — with no
 // floating-point accumulation anywhere. The budget decisions are
-// count-based (TransientScope::add per candidate, in generation order),
-// which the SoA rows preserve element for element.
+// count-based: TransientScope::add once per candidate, in generation
+// order.
 
 namespace fpopt {
 namespace {
@@ -118,30 +115,6 @@ RectImpl slice_shape(const RectImpl& a, const RectImpl& b, bool horizontal) {
                     : RectImpl{a.w + b.w, std::max(a.h, b.h)};
 }
 
-/// One irreducible L-chain gathered into arena rows, plus the entry ids
-/// (needed to rebuild provenance) and the chain-constant w2.
-struct LChainRows {
-  kernel::LChainSoA soa;
-  const std::uint32_t* id = nullptr;
-  Dim w2 = 0;
-};
-
-LChainRows load_chain_rows(kernel::Arena& arena, const LList& chain) {
-  const std::size_t n = chain.size();
-  Dim* w1 = arena.alloc_array<Dim>(n);
-  Dim* h1 = arena.alloc_array<Dim>(n);
-  Dim* h2 = arena.alloc_array<Dim>(n);
-  std::uint32_t* id = arena.alloc_array<std::uint32_t>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const LEntry& e = chain[i];
-    w1[i] = e.shape.w1;
-    h1[i] = e.shape.h1;
-    h2[i] = e.shape.h2;
-    id[i] = e.id;
-  }
-  return {{w1, h1, h2, n}, id, chain.w2()};
-}
-
 }  // namespace
 
 RCombineResult combine_slice(const RList& a, const RList& b, bool horizontal,
@@ -215,23 +188,11 @@ LCombineResult combine_wheel_stack(const RList& d, const RList& a, LPruning prun
   pre_chain.reserve(d.size());
   std::size_t compact_at = 4096;
 
-  // SoA pass: D's curve is gathered once, and per a[j] the whole w1/h1
-  // column pair is produced by two row helpers (w2 == a[j].w and h2 == d_i.h
-  // need no work). The chain is then assembled in the original (j, i)
-  // order with the original per-candidate budget charge, so candidate
-  // streams and OOM decisions are unchanged.
-  kernel::Arena& arena = kernel::scratch_arena();
-  kernel::ArenaScope scope(arena);
-  const kernel::RCurveSoA ds = kernel::load_r_curve(arena, d.impls());
-  Dim* w1 = scope.alloc_array<Dim>(ds.n);
-  Dim* h1 = scope.alloc_array<Dim>(ds.n);
-
   for (std::size_t j = 0; j < a.size(); ++j) {
     TransientScope transient(budget);
-    kernel::max_broadcast(ds.w, ds.n, a[j].w, w1);  // max(d_i.w, a_j.w)
-    kernel::add_broadcast(ds.h, ds.n, a[j].h, h1);  // d_i.h + a_j.h
-    for (std::size_t i = 0; i < ds.n; ++i) {
-      pre_chain.push_back({{w1[i], a[j].w, h1[i], ds.h[i]}, static_cast<std::uint32_t>(i)});
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      pre_chain.push_back({{std::max(d[i].w, a[j].w), a[j].w, d[i].h + a[j].h, d[i].h},
+                           static_cast<std::uint32_t>(i)});
       transient.add(1);
     }
     emit_chain(pre_chain, static_cast<std::uint32_t>(j), out, budget, stats);
@@ -242,12 +203,9 @@ LCombineResult combine_wheel_stack(const RList& d, const RList& a, LPruning prun
 
 namespace {
 
-/// Shared driver for op2/op3: apply a row transform to every
-/// (chain element, rect impl) pair, one context per (chain, rect impl).
-/// `row_op(rows, rect, ow1, oh1, oh2)` fills the transformed w1/h1/h2
-/// columns for one rect via the row helpers; this function assembles them
-/// into pre-chains in the original (chain, j, i) order with the original
-/// per-candidate budget charge.
+/// Shared loop of op2/op3: apply `op(shape, rect)` to every (chain
+/// element, rect impl) pair in (chain, j, i) order, one context per
+/// (chain, rect impl), charging the budget once per candidate.
 ///
 /// The chains of one input chain are added in j order, and that is where
 /// most redundancy sits: a fill-notch entry (i, j) is redundant against
@@ -255,28 +213,20 @@ namespace {
 /// against (i, j) while r_j.h <= h2_i. `LListSet::canonicalize` drops
 /// what a neighbouring chain makes redundant before its sweep, so this
 /// order makes it fast; its result does not depend on the order.
-template <typename RowOpFn>
-LCombineResult combine_l_with_rect(const LListSet& l, const RList& r, RowOpFn&& row_op,
+template <typename OpFn>
+LCombineResult combine_l_with_rect(const LListSet& l, const RList& r, OpFn&& op,
                                    LPruning pruning, BudgetTracker& budget,
                                    OptimizerStats& stats) {
   assert(!r.empty());
   LCombineResult out;
   std::vector<LEntry> pre_chain;
   std::size_t compact_at = 4096;
-  kernel::Arena& arena = kernel::scratch_arena();
   for (const LList& chain : l.lists()) {
     pre_chain.reserve(chain.size());
-    kernel::ArenaScope scope(arena);
-    const LChainRows rows = load_chain_rows(arena, chain);
-    const std::size_t n = rows.soa.n;
-    Dim* ow1 = scope.alloc_array<Dim>(n);
-    Dim* oh1 = scope.alloc_array<Dim>(n);
-    Dim* oh2 = scope.alloc_array<Dim>(n);
     for (std::size_t j = 0; j < r.size(); ++j) {
       TransientScope transient(budget);
-      row_op(rows, r[j], ow1, oh1, oh2);
-      for (std::size_t i = 0; i < n; ++i) {
-        pre_chain.push_back({{ow1[i], rows.w2, oh1[i], oh2[i]}, rows.id[i]});
+      for (const LEntry& e : chain) {
+        pre_chain.push_back({op(e.shape, r[j]), e.id});
         transient.add(1);
       }
       emit_chain(pre_chain, static_cast<std::uint32_t>(j), out, budget, stats);
@@ -290,28 +240,22 @@ LCombineResult combine_l_with_rect(const LListSet& l, const RList& r, RowOpFn&& 
 
 LCombineResult combine_wheel_fill_notch(const LListSet& l, const RList& e, LPruning pruning,
                                         BudgetTracker& budget, OptimizerStats& stats) {
-  // Per element: { max(w1, w2 + r.w), w2, max(h1, h2 + r.h), h2 + r.h }.
   return combine_l_with_rect(
       l, e,
-      [](const LChainRows& rows, const RectImpl& r, Dim* ow1, Dim* oh1, Dim* oh2) {
-        const std::size_t n = rows.soa.n;
-        kernel::add_broadcast(rows.soa.h2, n, r.h, oh2);
-        kernel::max_broadcast(rows.soa.w1, n, rows.w2 + r.w, ow1);
-        kernel::max_rows(rows.soa.h1, oh2, n, oh1);
+      [](const LImpl& s, const RectImpl& r) {
+        const Dim h2 = s.h2 + r.h;
+        return LImpl{std::max(s.w1, s.w2 + r.w), s.w2, std::max(s.h1, h2), h2};
       },
       pruning, budget, stats);
 }
 
 LCombineResult combine_wheel_extend(const LListSet& l, const RList& c, LPruning pruning,
                                     BudgetTracker& budget, OptimizerStats& stats) {
-  // Per element: { w1 + r.w, w2, max(h1, max(h2, r.h)), max(h2, r.h) }.
   return combine_l_with_rect(
       l, c,
-      [](const LChainRows& rows, const RectImpl& r, Dim* ow1, Dim* oh1, Dim* oh2) {
-        const std::size_t n = rows.soa.n;
-        kernel::max_broadcast(rows.soa.h2, n, r.h, oh2);
-        kernel::add_broadcast(rows.soa.w1, n, r.w, ow1);
-        kernel::max_rows(rows.soa.h1, oh2, n, oh1);
+      [](const LImpl& s, const RectImpl& r) {
+        const Dim y2 = std::max(s.h2, r.h);
+        return LImpl{s.w1 + r.w, s.w2, std::max(s.h1, y2), y2};
       },
       pruning, budget, stats);
 }
@@ -331,33 +275,28 @@ RCombineResult combine_wheel_close(const LListSet& l, const RList& b, BudgetTrac
   TransientScope transient(budget);
   std::vector<RectImpl> stair;
   std::vector<Prov> stair_prov;
-  std::vector<std::uint32_t> run;  // stack-prune survivors, as row indices
+  std::vector<std::uint32_t> run;  // stack-prune survivors, as chain positions
   std::size_t charged = 0;
   std::size_t compact_at = 4096;
-  kernel::Arena& arena = kernel::scratch_arena();
   for (const LList& chain : l.lists()) {
-    kernel::ArenaScope scope(arena);
-    const LChainRows rows = load_chain_rows(arena, chain);
-    const std::size_t n = rows.soa.n;
-    Dim* ow = scope.alloc_array<Dim>(n);
-    Dim* oh = scope.alloc_array<Dim>(n);
-    const auto at = [&](std::uint32_t i) { return RectImpl{ow[i], oh[i]}; };
+    const std::size_t n = chain.size();
     for (std::size_t j = 0; j < b.size(); ++j) {
-      // Per element: { max(w1, w2 + b_j.w), max(h1, h2 + b_j.h) }.
-      kernel::max_broadcast(rows.soa.w1, n, rows.w2 + b[j].w, ow);
-      kernel::max_add_broadcast(rows.soa.h1, rows.soa.h2, n, b[j].h, oh);
+      const auto at = [&](std::uint32_t i) {
+        const LImpl& s = chain[i].shape;
+        return RectImpl{std::max(s.w1, s.w2 + b[j].w), std::max(s.h1, s.h2 + b[j].h)};
+      };
       stats.total_generated += n;
       run.clear();
       for (std::uint32_t i = 0; i < n; ++i) {
         const RectImpl c = at(i);
-        assert(i == 0 || (ow[i - 1] >= c.w && oh[i - 1] <= c.h));
+        assert(i == 0 || (at(i - 1).w >= c.w && at(i - 1).h <= c.h));
         while (!run.empty() && at(run.back()).dominates(c)) run.pop_back();
         if (!run.empty() && c.dominates(at(run.back()))) continue;
         run.push_back(i);
         transient.add(1);
       }
       for (const std::uint32_t i : run) {
-        merge_into_staircase(at(i), {rows.id[i], static_cast<std::uint32_t>(j)}, stair,
+        merge_into_staircase(at(i), {chain[i].id, static_cast<std::uint32_t>(j)}, stair,
                              stair_prov);
       }
       charged += run.size();

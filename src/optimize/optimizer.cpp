@@ -37,8 +37,8 @@ namespace {
 class NodeEvaluator {
  public:
   NodeEvaluator(const FloorplanTree& tree, const OptimizerOptions& opts, OptimizeArtifacts& art,
-                BudgetTracker& budget, OptimizerStats& stats, ThreadPool* pool)
-      : tree_(tree), opts_(opts), art_(art), budget_(budget), stats_(stats), pool_(pool) {}
+                BudgetTracker& budget, OptimizerStats& stats)
+      : tree_(tree), opts_(opts), art_(art), budget_(budget), stats_(stats) {}
 
   /// Both children of `node` (if any) must already have their NodeResult.
   void eval_node(const BinaryNode& node) {
@@ -107,7 +107,7 @@ class NodeEvaluator {
     stats_.max_rlist_len = std::max(stats_.max_rlist_len, combined.list.size());
     const SelectionConfig& sel = opts_.selection;
     if (sel.k1 != 0 && combined.list.size() > sel.k1) {
-      const SelectionResult picked = r_selection(combined.list, sel.k1, sel.dp, pool_);
+      const SelectionResult picked = r_selection(combined.list, sel.k1, sel.dp);
       ++stats_.cspp_calls;
       if (sel.dp != SelectionDp::Generic) ++stats_.cspp_monge_calls;
       const std::size_t removed = combined.list.size() - picked.kept.size();
@@ -148,8 +148,7 @@ class NodeEvaluator {
     if (sel.k2 != 0) {
       const LSelectionOptions lopts{sel.metric, sel.dp, sel.heuristic_cap,
                                     LHeuristic::UniformSubsample};
-      const LReductionReport report =
-          reduce_l_set(combined.set, sel.k2, sel.theta, lopts, pool_);
+      const LReductionReport report = reduce_l_set(combined.set, sel.k2, sel.theta, lopts);
       if (report.triggered) {
         budget_.sub_stored(report.before - report.after);
         ++stats_.l_selection_calls;
@@ -184,7 +183,6 @@ class NodeEvaluator {
   OptimizeArtifacts& art_;
   BudgetTracker& budget_;
   OptimizerStats& stats_;
-  ThreadPool* pool_;
 };
 
 /// Fold `from`'s additive counters (and the order-independent max-folds)
@@ -396,7 +394,7 @@ class Engine {
     NodeProfile& prof = profiles_[id];
     if (prof.done) prof = NodeProfile{};  // a served node evaluated again
     BudgetTracker local(opts_.impl_budget, live_before);
-    NodeEvaluator evaluator(tree_, opts_, art_, local, prof.stats, pool_);
+    NodeEvaluator evaluator(tree_, opts_, art_, local, prof.stats);
     try {
       evaluator.eval_node(node);
     } catch (const MemoryLimitExceeded&) {

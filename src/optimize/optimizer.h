@@ -16,12 +16,11 @@
 // == 0 it evaluates T' in a plain postorder loop. With threads > 0 it
 // runs on a work-stealing thread pool: every internal node becomes a
 // task that fires once both children's NodeResults are ready, and the
-// selection / error-table kernels inside a node additionally split their
-// DP layers across the same workers. The result is *deterministic* —
-// node lists, provenance, selection certificates, stats counters and the
-// memory-budget abort decision are bit-identical for every thread count
-// (see docs/ALGORITHMS.md §7 for the scheduling and budget-accounting
-// model).
+// node itself runs serially on one worker. The result is
+// *deterministic* — node lists, provenance, selection certificates, stats
+// counters and the memory-budget abort decision are bit-identical for
+// every thread count (see docs/ALGORITHMS.md §7 for the scheduling and
+// budget-accounting model).
 //
 // With OptimizerOptions::incremental and a MemoCache, the engine serves
 // every T' node whose content-addressed subtree key is already cached —
@@ -81,10 +80,10 @@ struct OptimizerOptions {
   RestructureOptions restructure;
   /// Pool workers. 0 = no pool: a postorder loop on the calling thread;
   /// N >= 1 = dependency-counting bottom-up schedule over T' on an
-  /// N-worker work-stealing pool (the calling thread helps too), with the
-  /// hot selection kernels parallelized inside each node. Results are
-  /// bit-identical for every value. At most kMaxThreads: the CLI flag
-  /// parsers and the fpoptd protocol reject larger values.
+  /// N-worker work-stealing pool (the calling thread helps too), one task
+  /// per node. Results are bit-identical for every value. At most
+  /// kMaxThreads: the CLI flag parsers and the fpoptd protocol reject
+  /// larger values.
   std::size_t threads = 0;
   static constexpr std::size_t kMaxThreads = 256;
   /// Incremental mode: serve every T' node whose content-addressed

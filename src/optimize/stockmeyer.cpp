@@ -1,34 +1,20 @@
 #include "optimize/stockmeyer.h"
 
-#include "kernel/arena.h"
-#include "kernel/soa.h"
-#include "kernel/sweep.h"
+#include <algorithm>
 
 namespace fpopt {
 namespace {
 
-/// One Stockmeyer merge step, batched: the right-hand curve is gathered
-/// into SoA rows once, then each a_i produces its whole candidate row
-/// with two broadcast helpers (w/h roles swap with the slice direction).
-/// Candidates appear in the same (i, j) order as the scalar double loop,
-/// and RList::from_candidates prunes order-insensitively on top.
+/// One Stockmeyer merge step: the candidate of every (a_i, b_j) pair in
+/// (i, j) order, pruned by RList::from_candidates.
 RList merge_curves(const RList& a_curve, const RList& b_curve, bool vertical) {
   std::vector<RectImpl> cands;
   cands.reserve(a_curve.size() * b_curve.size());
-  kernel::Arena& arena = kernel::scratch_arena();
-  kernel::ArenaScope scope(arena);
-  const kernel::RCurveSoA bs = kernel::load_r_curve(arena, b_curve.impls());
-  Dim* ow = scope.alloc_array<Dim>(bs.n);
-  Dim* oh = scope.alloc_array<Dim>(bs.n);
   for (const RectImpl& a : a_curve) {
-    if (vertical) {
-      kernel::add_broadcast(bs.w, bs.n, a.w, ow);  // a.w + b.w
-      kernel::max_broadcast(bs.h, bs.n, a.h, oh);  // max(a.h, b.h)
-    } else {
-      kernel::max_broadcast(bs.w, bs.n, a.w, ow);  // max(a.w, b.w)
-      kernel::add_broadcast(bs.h, bs.n, a.h, oh);  // a.h + b.h
+    for (const RectImpl& b : b_curve) {
+      cands.push_back(vertical ? RectImpl{a.w + b.w, std::max(a.h, b.h)}
+                               : RectImpl{std::max(a.w, b.w), a.h + b.h});
     }
-    for (std::size_t i = 0; i < bs.n; ++i) cands.push_back({ow[i], oh[i]});
   }
   return RList::from_candidates(std::move(cands));
 }

@@ -1,16 +1,16 @@
-// A small work-stealing thread pool for the parallel optimizer.
+// A small work-stealing thread pool for the optimizer's pool schedule.
 //
-// Each worker owns a deque: the owner pushes and pops at the back (LIFO,
-// cache-friendly for the divide-and-conquer kernels) while thieves steal
-// from the front (FIFO, grabs the oldest — typically biggest — task).
-// Tasks submitted from outside the pool land in a shared injection queue
-// that workers fall back to when their own deque and stealing both come
-// up empty.
+// Each worker owns a deque: the owner pushes and pops at the back (LIFO:
+// a node that finishes submits its parent, which the same worker runs
+// next) while thieves steal from the front (FIFO, grabs the oldest
+// task). Tasks submitted from outside the pool land in a shared
+// injection queue that workers fall back to when their own deque and
+// stealing both come up empty.
 //
 // Synchronization is deliberately boring: one small mutex per deque plus
 // a sleep mutex/condvar for idle workers. The pool is a scheduling layer,
-// not a hot loop — the optimizer keeps task granularity coarse enough
-// (one T' node, one DP layer chunk) that queue traffic never dominates.
+// not a hot loop — one task is one T' node, coarse enough that queue
+// traffic never dominates.
 //
 // Guarantees:
 //  * Nested submission: a task may submit more tasks and wait on them

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "optimize/combine.h"
 #include "test_util.h"
@@ -312,24 +313,24 @@ LListSet assembled_l_set(std::size_t n, Pcg32& rng) {
   return extend.set;
 }
 
-/// What a close run leaves in its budget tracker: whether it aborted, the
-/// counts at the abort, and the peaks.
-struct CloseBudget {
+/// What a combine run leaves in its budget tracker: whether it aborted,
+/// the counts at the abort, and the peaks.
+struct BudgetOutcome {
   bool aborted = false;
   std::size_t stored_at_abort = 0;
   std::size_t transient_at_abort = 0;
   std::size_t peak_transient = 0;
   std::size_t peak_total = 0;
 
-  friend bool operator==(const CloseBudget&, const CloseBudget&) = default;
+  friend bool operator==(const BudgetOutcome&, const BudgetOutcome&) = default;
 };
 
-template <typename CloseFn>
-CloseBudget run_close_under_budget(std::size_t impl_budget, CloseFn&& close) {
+template <typename CombineFn>
+BudgetOutcome run_under_budget(std::size_t impl_budget, CombineFn&& combine) {
   BudgetTracker budget(impl_budget);
-  CloseBudget out;
+  BudgetOutcome out;
   try {
-    close(budget);
+    combine(budget);
   } catch (const MemoryLimitExceeded& e) {
     out.aborted = true;
     out.stored_at_abort = e.stored;
@@ -364,11 +365,11 @@ TEST(WheelCloseTest, StaircaseMatchesCollectThenCompactReference) {
     const std::size_t peak = ref_budget.peak_total();
     for (const std::size_t impl_budget :
          {peak / 4, peak / 2, peak - peak / 4, peak - 1, peak, peak + 1}) {
-      const CloseBudget ref = run_close_under_budget(impl_budget, [&](BudgetTracker& t) {
+      const BudgetOutcome ref = run_under_budget(impl_budget, [&](BudgetTracker& t) {
         std::size_t ignored = 0;
         (void)wheel_close_reference(l, b, t, ignored);
       });
-      const CloseBudget fast = run_close_under_budget(impl_budget, [&](BudgetTracker& t) {
+      const BudgetOutcome fast = run_under_budget(impl_budget, [&](BudgetTracker& t) {
         OptimizerStats stats;
         (void)combine_wheel_close(l, b, t, stats);
       });
@@ -378,6 +379,173 @@ TEST(WheelCloseTest, StaircaseMatchesCollectThenCompactReference) {
                                << ", peak total " << fast.peak_total << " vs "
                                << ref.peak_total;
     }
+  }
+}
+
+/// The three L-producing wheel combines as the literal per-candidate
+/// double loop of their op formulas. One generation context per (input
+/// chain, j), in (chain, j, i) order: `ids[c][i]` is the left id and
+/// `cand(c, i, r[j])` the shape of candidate i of input chain c (wheel
+/// stack has one input chain, D's curve, with list indices as ids). Each
+/// candidate charges add_transient(1). Each context then goes through
+/// from_prechain, has its kept entries renumbered into provenance records
+/// and charged with add_stored and, under GlobalEager, canonicalizes the
+/// set once it passes `compact_at` (4096, then twice the compacted size).
+/// It is the oracle for the set, the provenance, total_generated and
+/// every budget charge; `compactions` counts the eager compactions.
+template <typename CandFn>
+LCombineResult l_combine_reference(const std::vector<std::vector<std::uint32_t>>& ids,
+                                   const RList& r, CandFn&& cand, LPruning pruning,
+                                   BudgetTracker& budget, OptimizerStats& stats,
+                                   std::size_t& compactions) {
+  LCombineResult out;
+  compactions = 0;
+  std::size_t compact_at = 4096;
+  for (std::size_t c = 0; c < ids.size(); ++c) {
+    for (std::size_t j = 0; j < r.size(); ++j) {
+      TransientScope transient(budget);
+      std::vector<LEntry> pre_chain;
+      for (std::size_t i = 0; i < ids[c].size(); ++i) {
+        pre_chain.push_back({cand(c, i, r[j]), ids[c][i]});
+        transient.add(1);
+      }
+      stats.total_generated += pre_chain.size();
+      const LList pruned = LList::from_prechain(pre_chain);
+      std::vector<LEntry> kept(pruned.begin(), pruned.end());
+      for (LEntry& e : kept) {
+        out.prov.push_back({e.id, static_cast<std::uint32_t>(j)});
+        e.id = static_cast<std::uint32_t>(out.prov.size() - 1);
+      }
+      budget.add_stored(kept.size());
+      out.set.add(LList::from_chain_unchecked(std::move(kept)));
+      if (pruning == LPruning::GlobalEager && out.set.total_size() > compact_at) {
+        budget.sub_stored(out.set.canonicalize());
+        compact_at = std::max<std::size_t>(4096, out.set.total_size() * 2);
+        ++compactions;
+      }
+    }
+  }
+  return out;
+}
+
+/// The left ids of every chain of `l`, the `ids` argument of
+/// l_combine_reference.
+std::vector<std::vector<std::uint32_t>> chain_ids(const LListSet& l) {
+  std::vector<std::vector<std::uint32_t>> ids;
+  for (const LList& chain : l.lists()) {
+    ids.emplace_back();
+    for (const LEntry& e : chain) ids.back().push_back(e.id);
+  }
+  return ids;
+}
+
+/// Runs one wheel step, `real(pruning, budget, stats)`, and its
+/// `reference(pruning, budget, stats, compactions)` under every pruning
+/// mode and expects the same set, provenance, total_generated, peaks and
+/// abort counts.
+template <typename RealFn, typename RefFn>
+void expect_matches_reference(const char* name, RealFn&& real, RefFn&& reference) {
+  for (const LPruning pruning :
+       {LPruning::PerChain, LPruning::GlobalAtNode, LPruning::GlobalEager}) {
+    const std::string where =
+        std::string(name) + ", pruning " + std::to_string(static_cast<int>(pruning));
+    BudgetTracker ref_budget(0);
+    OptimizerStats ref_stats;
+    std::size_t compactions = 0;
+    const LCombineResult want = reference(pruning, ref_budget, ref_stats, compactions);
+    if (pruning == LPruning::GlobalEager) {
+      ASSERT_GE(compactions, 3u) << where << " must cross compact_at repeatedly";
+    }
+
+    Ctx ctx;
+    const LCombineResult got = real(pruning, ctx.budget, ctx.stats);
+    EXPECT_TRUE(got.set == want.set) << where;
+    EXPECT_EQ(got.prov, want.prov) << where;
+    EXPECT_EQ(ctx.stats.total_generated, ref_stats.total_generated) << where;
+    EXPECT_EQ(ctx.budget.peak_stored(), ref_budget.peak_stored()) << where;
+    EXPECT_EQ(ctx.budget.peak_transient(), ref_budget.peak_transient()) << where;
+    EXPECT_EQ(ctx.budget.peak_total(), ref_budget.peak_total()) << where;
+
+    // The abort comes at the same budgets, with the same counts. Every
+    // context charges a row and then its kept entries, so past the first
+    // row a growing set mostly trips on add_stored; the budgets below 8
+    // trip inside the first row, where only a per-candidate charge stops
+    // at the budget itself.
+    const std::size_t peak = ref_budget.peak_total();
+    for (const std::size_t impl_budget : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                          std::size_t{7}, peak / 4, peak / 2, peak - peak / 4,
+                                          peak - 1, peak, peak + 1}) {
+      const BudgetOutcome ref = run_under_budget(impl_budget, [&](BudgetTracker& t) {
+        OptimizerStats stats;
+        std::size_t ignored = 0;
+        (void)reference(pruning, t, stats, ignored);
+      });
+      const BudgetOutcome fast = run_under_budget(impl_budget, [&](BudgetTracker& t) {
+        OptimizerStats stats;
+        (void)real(pruning, t, stats);
+      });
+      EXPECT_EQ(ref.aborted, impl_budget < peak) << where << ", budget " << impl_budget;
+      EXPECT_TRUE(fast == ref) << where << ", budget " << impl_budget << ": aborted "
+                               << fast.aborted << " vs " << ref.aborted << " at "
+                               << fast.stored_at_abort << "+" << fast.transient_at_abort
+                               << " vs " << ref.stored_at_abort << "+"
+                               << ref.transient_at_abort;
+    }
+  }
+}
+
+TEST(WheelLCombineTest, StackFillNotchAndExtendMatchPerCandidateReference) {
+  Pcg32 rng(113);
+  const RList d = test::random_r_list(300, rng, 3);
+  const RList a = test::random_r_list(90, rng, 3);
+  const LListSet random_set = random_l_set(800, 12, rng);
+  const LListSet assembled = assembled_l_set(28, rng);
+  const RList e = test::random_r_list(20, rng, 3);
+  const RList c = test::random_r_list(20, rng, 3);
+
+  std::vector<std::uint32_t> d_ids(d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) d_ids[i] = static_cast<std::uint32_t>(i);
+  const auto stack = [&](std::size_t, std::size_t i, const RectImpl& r) {
+    return LImpl{std::max(d[i].w, r.w), r.w, d[i].h + r.h, d[i].h};
+  };
+  expect_matches_reference(
+      "stack",
+      [&](LPruning p, BudgetTracker& t, OptimizerStats& s) {
+        return combine_wheel_stack(d, a, p, t, s);
+      },
+      [&](LPruning p, BudgetTracker& t, OptimizerStats& s, std::size_t& n) {
+        return l_combine_reference({d_ids}, a, stack, p, t, s, n);
+      });
+
+  for (const LListSet* l : {&random_set, &assembled}) {
+    const std::vector<std::vector<std::uint32_t>> ids = chain_ids(*l);
+    // The op formulas of WheelOpsTest.MonotoneLazyStretchFormulas.
+    const auto notch = [l](std::size_t chain, std::size_t i, const RectImpl& r) {
+      const LImpl& s = l->lists()[chain][i].shape;
+      const Dim h2 = s.h2 + r.h;
+      return LImpl{std::max(s.w1, s.w2 + r.w), s.w2, std::max(s.h1, h2), h2};
+    };
+    const auto extend = [l](std::size_t chain, std::size_t i, const RectImpl& r) {
+      const LImpl& s = l->lists()[chain][i].shape;
+      const Dim y2 = std::max(s.h2, r.h);
+      return LImpl{s.w1 + r.w, s.w2, std::max(s.h1, y2), y2};
+    };
+    expect_matches_reference(
+        "fill notch",
+        [&](LPruning p, BudgetTracker& t, OptimizerStats& s) {
+          return combine_wheel_fill_notch(*l, e, p, t, s);
+        },
+        [&](LPruning p, BudgetTracker& t, OptimizerStats& s, std::size_t& n) {
+          return l_combine_reference(ids, e, notch, p, t, s, n);
+        });
+    expect_matches_reference(
+        "extend",
+        [&](LPruning p, BudgetTracker& t, OptimizerStats& s) {
+          return combine_wheel_extend(*l, c, p, t, s);
+        },
+        [&](LPruning p, BudgetTracker& t, OptimizerStats& s, std::size_t& n) {
+          return l_combine_reference(ids, c, extend, p, t, s, n);
+        });
   }
 }
 

@@ -8,7 +8,6 @@
 
 #include "core/l_error.h"
 #include "core/r_error.h"  // triangular_index
-#include "runtime/thread_pool.h"
 #include "test_util.h"
 
 namespace fpopt {
@@ -95,7 +94,7 @@ TEST(ComputeLErrorTest, MatchesDefinitionDirectly) {
 // Float-accumulation-order audit (docs/ALGORITHMS.md §11): the only float
 // accumulation feeding determinism-sensitive results is the L2 error
 // table's per-entry sum. Its canonical order is q ascending; this pins it
-// (serial and pooled) against an explicit reference loop.
+// against an explicit reference loop.
 TEST(ComputeLErrorTest, L2SummationOrderIsCanonical) {
   Pcg32 rng(0x5eed0008);
   const std::size_t n = 40;
@@ -114,12 +113,7 @@ TEST(ComputeLErrorTest, L2SummationOrderIsCanonical) {
     }
   }
 
-  const std::vector<Weight> serial = compute_l_error_table(shapes, LpMetric::L2, nullptr);
-  ASSERT_TRUE(rows_same_bits(serial, want));
-
-  ThreadPool pool(4);
-  const std::vector<Weight> pooled = compute_l_error_table(shapes, LpMetric::L2, &pool);
-  ASSERT_TRUE(rows_same_bits(pooled, want));
+  ASSERT_TRUE(rows_same_bits(compute_l_error_table(shapes, LpMetric::L2), want));
 }
 
 TEST(LemmaThreeTest, NearestKeptNeighborIsOneOfTheTwoAdjacentOnes) {

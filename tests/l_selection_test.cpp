@@ -228,6 +228,35 @@ TEST(ReduceLSetTest, TinyListsKeepAtLeastTwoEntries) {
   EXPECT_GE(set.lists()[0].size(), 2u);
 }
 
+TEST(ReduceLSetTest, CountsSelectorRunsAndSumsErrorsInChainOrder) {
+  Pcg32 rng(53);
+  LListSet set;
+  for (const std::size_t len : {2u, 3u, 30u, 97u}) set.add(test::random_l_chain(len, rng));
+  // N = 132, K2 = 20 -> budgets 2 / 2 / 4 / 14: the 2-entry list is left
+  // alone, and only the 97-entry list is longer than S = 50.
+  for (const LpMetric metric : {LpMetric::L1, LpMetric::L2}) {
+    LSelectionOptions opts;
+    opts.metric = metric;
+    opts.heuristic_cap = 50;
+    LListSet reduced = set;
+    const LReductionReport report = reduce_l_set(reduced, 20, 1.0, opts);
+    ASSERT_TRUE(report.triggered);
+    EXPECT_EQ(report.chains_reduced, 3u);
+    EXPECT_EQ(report.cspp_calls, 3u);
+    EXPECT_EQ(report.cspp_monge_calls, metric == LpMetric::L1 ? 3u : 0u);
+    EXPECT_EQ(report.heuristic_prereductions, 1u);
+
+    Weight expect = 0;
+    for (std::size_t i = 0; i < set.list_count(); ++i) {
+      LList chain = set.lists()[i];
+      const std::size_t budget = std::max<std::size_t>(2, 20 * chain.size() / 132);
+      expect += reduce_l_list(chain, budget, opts);
+      EXPECT_EQ(reduced.lists()[i], chain) << "chain " << i;
+    }
+    EXPECT_EQ(report.total_error, expect);
+  }
+}
+
 TEST(ReduceLSetTest, NoOpWhenUnderTheLimit) {
   Pcg32 rng(49);
   LListSet set;

@@ -15,7 +15,6 @@
 #include "geometry/staircase.h"
 #include "optimize/combine.h"
 #include "optimize/optimizer.h"
-#include "runtime/thread_pool.h"
 #include "shape/r_list.h"
 #include "test_util.h"
 #include "workload/floorplans.h"
@@ -213,33 +212,8 @@ TEST(SelectionFuzzTest, KeepEverythingContract) {
   EXPECT_TRUE(check_l_selection_certificate(chain, sel, 0, LpMetric::L1).ok());
 }
 
-// ---- parallel combine / selection fuzz ---------------------------------
-//
-// The pooled kernels promise results identical to the serial ones (same
-// kept indices, same error doubles, same reduced chains). Fuzz them with
-// a live pool; under FPOPT_VALIDATE the store-side validators run too.
-
-TEST(ParallelFuzzTest, PooledRSelectionMatchesSerial) {
-  Pcg32 rng(909);
-  ThreadPool pool(4);
-  for (int iter = 0; iter < 30; ++iter) {
-    const std::size_t n = 4 + rng.below(40);
-    const RList list = random_r_list(n, rng);
-    const std::size_t k = 2 + rng.below(static_cast<std::uint32_t>(n - 1));
-    for (const SelectionDp dp : {SelectionDp::Generic, SelectionDp::Monge}) {
-      const SelectionResult serial = r_selection(list, k, dp, nullptr);
-      const SelectionResult pooled = r_selection(list, k, dp, &pool);
-      EXPECT_EQ(pooled.kept, serial.kept);
-      EXPECT_EQ(pooled.error, serial.error);
-      const CheckResult res = check_selection_certificate(list, pooled, k);
-      EXPECT_TRUE(res.ok()) << res.report();
-    }
-  }
-}
-
-TEST(ParallelFuzzTest, PooledLSelectionMatchesSerial) {
+TEST(SelectionFuzzTest, LSelectionCertifiesEveryMetricOnRandomChains) {
   Pcg32 rng(1010);
-  ThreadPool pool(4);
   for (int iter = 0; iter < 20; ++iter) {
     const std::size_t n = 4 + rng.below(24);
     const LList chain = random_l_chain(n, rng);
@@ -247,35 +221,14 @@ TEST(ParallelFuzzTest, PooledLSelectionMatchesSerial) {
     for (const LpMetric metric : {LpMetric::L1, LpMetric::L2, LpMetric::LInf}) {
       LSelectionOptions opts;
       opts.metric = metric;
-      const SelectionResult serial = l_selection(chain, k, opts, nullptr);
-      const SelectionResult pooled = l_selection(chain, k, opts, &pool);
-      EXPECT_EQ(pooled.kept, serial.kept);
-      EXPECT_EQ(pooled.error, serial.error);
-      const CheckResult res = check_l_selection_certificate(chain, pooled, k, metric);
+      const SelectionResult sel = l_selection(chain, k, opts);
+      const CheckResult res = check_l_selection_certificate(chain, sel, k, metric);
       EXPECT_TRUE(res.ok()) << res.report();
     }
   }
 }
 
-TEST(ParallelFuzzTest, PooledReduceLSetMatchesSerial) {
-  Pcg32 rng(1111);
-  ThreadPool pool(4);
-  for (int iter = 0; iter < 15; ++iter) {
-    LListSet a;
-    const std::size_t chains = 2 + rng.below(4);
-    for (std::size_t c = 0; c < chains; ++c) a.add(random_l_chain(3 + rng.below(10), rng));
-    LListSet b = a;
-    const std::size_t k2 = 4 + rng.below(8);
-    const LSelectionOptions opts;
-    const LReductionReport rs = reduce_l_set(a, k2, 1.0, opts, nullptr);
-    const LReductionReport rp = reduce_l_set(b, k2, 1.0, opts, &pool);
-    EXPECT_EQ(rp.triggered, rs.triggered);
-    EXPECT_EQ(rp.before, rs.before);
-    EXPECT_EQ(rp.after, rs.after);
-    EXPECT_EQ(rp.total_error, rs.total_error);
-    EXPECT_EQ(a, b);  // identical reduced chains, byte for byte
-  }
-}
+// ---- parallel optimize fuzz ----------------------------------------------
 
 TEST(ParallelFuzzTest, ParallelOptimizeArtifactsValidate) {
   // End-to-end fuzz of the parallel combine/selection store paths: random

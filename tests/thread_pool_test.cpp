@@ -15,8 +15,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "runtime/parallel.h"
-
 namespace fpopt {
 namespace {
 
@@ -181,21 +179,6 @@ TEST(ThreadPool, StressManyTinyTasks) {
   }
 }
 
-TEST(ParallelFor, CoversRangeExactlyOnceSerialAndPooled) {
-  constexpr std::size_t kN = 10'000;
-  for (const unsigned workers : {0u, 1u, 4u}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
-    std::vector<std::atomic<int>> hit(kN);
-    for (auto& h : hit) h.store(0);
-    parallel_for(pool.get(), std::size_t{0}, kN, std::size_t{64},
-                 [&hit](std::size_t i) { hit[i].fetch_add(1, std::memory_order_relaxed); });
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(hit[i].load(), 1) << "workers=" << workers << " index " << i;
-    }
-  }
-}
-
 TEST(ThreadPool, IdleTimeIsMonotonicAcrossSnapshots) {
   // stats() snapshots lifetime counters; idle_seconds must never move
   // backwards between snapshots, and grows while workers sleep.
@@ -209,20 +192,27 @@ TEST(ThreadPool, IdleTimeIsMonotonicAcrossSnapshots) {
   for (const telemetry::WorkerStats& w : before.workers) {
     EXPECT_GE(w.idle_seconds, 0.0);
   }
-  // Let the workers sleep, then poke them so the sleep gets accounted
-  // (idle time is added on wake). The coordinator may drain a wake batch
-  // itself (TaskGroup::wait helps), so retry until a worker's wake lands.
+  // Let the workers sleep, then hand the pool one task that only a worker
+  // can run: this thread polls for it instead of helping (as
+  // TaskGroup::wait would), so however slowly a sleeping worker wakes,
+  // one does, and the wake accounts its sleep (idle time is added on
+  // wake, before the task runs). A worker still between tasks when the
+  // task arrives runs it without sleeping, so retry until a wake lands.
   telemetry::PoolStats after = pool.stats();
   for (int tries = 0; tries < 200; ++tries) {
     if constexpr (telemetry::kEnabled) {
       if (after.total_idle_seconds() > before.total_idle_seconds()) break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    TaskGroup wake(&pool);
-    for (int i = 0; i < 8; ++i) {
-      wake.run([] {});
+    // Shared, so a task the pool runs late never touches a dead local.
+    auto ran = std::make_shared<std::atomic<bool>>(false);
+    pool.submit([ran] { ran->store(true, std::memory_order_release); });
+    for (int polls = 0; polls < 10'000 && !ran->load(std::memory_order_acquire);
+         ++polls) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    wake.wait();
+    ASSERT_TRUE(ran->load(std::memory_order_acquire))
+        << "no worker ran a submitted task within 10 s";
     after = pool.stats();
   }
   ASSERT_EQ(after.workers.size(), before.workers.size());
@@ -235,18 +225,6 @@ TEST(ThreadPool, IdleTimeIsMonotonicAcrossSnapshots) {
   } else {
     EXPECT_EQ(after.total_idle_seconds(), 0.0);
   }
-}
-
-TEST(ParallelFor, EmptyAndTinyRanges) {
-  ThreadPool pool(2);
-  int calls = 0;
-  parallel_for_chunks(&pool, std::size_t{5}, std::size_t{5}, std::size_t{16},
-                      [&calls](std::size_t, std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);  // empty range: body never invoked
-  std::atomic<int> sum{0};
-  parallel_for(&pool, std::size_t{0}, std::size_t{3}, std::size_t{64},
-               [&sum](std::size_t i) { sum.fetch_add(static_cast<int>(i) + 1); });
-  EXPECT_EQ(sum.load(), 6);  // below one grain: runs inline
 }
 
 }  // namespace
