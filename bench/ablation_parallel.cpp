@@ -103,7 +103,7 @@ void write_trace(const Workload& w, std::size_t threads, const std::string& path
     std::exit(1);
   }
   std::ofstream file(path, std::ios::binary);
-  session.write_json(file);
+  file << session.to_json();
   std::cout << "  wrote " << path << '\n';
 }
 

@@ -1,5 +1,6 @@
 #include "io/cli.h"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -84,8 +85,10 @@ double parse_double(const std::string& flag, const std::string& value) {
     std::size_t pos = 0;
     const double v = std::stod(value, &pos);
     // stod parses the longest valid prefix; trailing garbage ("0.5xyz")
-    // must be a hard error, exactly like parse_long.
-    if (pos != value.size()) throw CliError{""};
+    // must be a hard error, exactly like parse_long. It also accepts
+    // "nan" and "inf", which pass no range check (NaN compares false both
+    // ways) and have no JSON token, so they are refused as well.
+    if (pos != value.size() || !std::isfinite(v)) throw CliError{""};
     return v;
   } catch (...) {
     throw CliError{"bad value '" + value + "' for " + flag};
@@ -349,7 +352,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
     const auto write_trace = [&] {
       std::ofstream file(parsed.trace_path, std::ios::binary);
       if (!file) throw CliError{"cannot write '" + parsed.trace_path + "'"};
-      session.write_json(file);
+      file << session.to_json();
     };
     try {
       const int code = dispatch(parsed, out);

@@ -287,9 +287,11 @@ RCombineResult combine_wheel_close(const LListSet& l, const RList& b, BudgetTrac
       };
       stats.total_generated += n;
       run.clear();
+      [[maybe_unused]] RectImpl prev{};
       for (std::uint32_t i = 0; i < n; ++i) {
         const RectImpl c = at(i);
-        assert(i == 0 || (at(i - 1).w >= c.w && at(i - 1).h <= c.h));
+        assert(i == 0 || (prev.w >= c.w && prev.h <= c.h));
+        prev = c;
         while (!run.empty() && at(run.back()).dominates(c)) run.pop_back();
         if (!run.empty() && c.dominates(at(run.back()))) continue;
         run.push_back(i);

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -184,12 +185,13 @@ struct ClientArgs {
 
 /// JSON token for a numeric flag value; client-side validation is
 /// deliberately thin — the daemon re-validates everything and its error
-/// message travels back in the response.
+/// message travels back in the response. NaN and infinity are refused
+/// here: they have no JSON token, so the frame would not parse.
 std::string number_token(const std::string& flag, const std::string& value) {
   if (value.empty()) throw ClientError{"flag " + flag + " needs a value"};
   std::size_t pos = 0;
   try {
-    (void)std::stod(value, &pos);
+    if (!std::isfinite(std::stod(value, &pos))) pos = 0;
   } catch (...) {
     pos = 0;
   }
@@ -242,35 +244,31 @@ ClientArgs parse_client_args(const std::vector<std::string>& args) {
 }
 
 std::string build_request(const ClientArgs& parsed) {
-  std::string body = "{\"fpopt_request\":{\"schema_version\":" +
-                     std::to_string(kServiceSchemaVersion) +
-                     ",\"id\":" + parsed.id_json +
-                     ",\"command\":" + telemetry::json_quote(parsed.command);
+  telemetry::JsonWriter w;
+  w.begin_object().key("fpopt_request").begin_object();
+  w.key("schema_version").i64(kServiceSchemaVersion).key("id").raw(parsed.id_json);
+  w.key("command").str(parsed.command);
   if (is_control_verb(parsed.command)) {
-    if (!parsed.format.empty()) body += ",\"format\":" + telemetry::json_quote(parsed.format);
-    if (!parsed.pick.empty()) body += ",\"pick\":" + telemetry::json_quote(parsed.pick);
+    if (!parsed.format.empty()) w.key("format").str(parsed.format);
+    if (!parsed.pick.empty()) w.key("pick").str(parsed.pick);
   } else {
     if (parsed.positional.size() < 2) {
       throw ClientError{"command '" + parsed.command +
                         "' needs <topology-file> <library-file>"};
     }
-    body += ",\"topology\":" + telemetry::json_quote(read_file(parsed.positional[0]));
-    body += ",\"library\":" + telemetry::json_quote(read_file(parsed.positional[1]));
+    w.key("topology").str(read_file(parsed.positional[0]));
+    w.key("library").str(read_file(parsed.positional[1]));
     if (!parsed.options.empty()) {
-      body += ",\"options\":{";
-      for (std::size_t i = 0; i < parsed.options.size(); ++i) {
-        if (i > 0) body += ',';
-        body += telemetry::json_quote(parsed.options[i].first) + ':' +
-                parsed.options[i].second;
-      }
-      body += '}';
+      w.key("options").begin_object();
+      for (const auto& [key, token] : parsed.options) w.key(key).raw(token);
+      w.end_object();
     }
-    if (!parsed.priority.empty()) body += ",\"priority\":" + parsed.priority;
-    if (!parsed.deadline_ms.empty()) body += ",\"deadline_ms\":" + parsed.deadline_ms;
-    if (parsed.trace) body += ",\"trace\":true";
+    if (!parsed.priority.empty()) w.key("priority").raw(parsed.priority);
+    if (!parsed.deadline_ms.empty()) w.key("deadline_ms").raw(parsed.deadline_ms);
+    if (parsed.trace) w.key("trace").boolean(true);
   }
-  body += "}}";
-  return body;
+  w.end_object().end_object();
+  return std::move(w).text();
 }
 
 int run_frames_mode(const ClientArgs& parsed, std::istream& in, std::ostream& out) {

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <limits>
 
-#include "telemetry/report_schema.h"
+#include "telemetry/schema.h"
 
 namespace fpopt {
 namespace {
@@ -300,123 +300,86 @@ bool decode_request(const std::string& frame, ServiceRequest& out, ServiceError&
 
 namespace {
 
-/// `report_json` arrives as RunReport::to_json(false) — the compact
-/// wrapper document {"fpopt_run_report":{...}}. Splice out the inner
-/// object so the response carries "fpopt_run_report" as a direct member
-/// (which is exactly where validate_embedded_run_reports looks).
-std::string report_inner(const std::string& report_json) {
-  constexpr const char* kPrefix = "{\"fpopt_run_report\":";
-  const std::size_t plen = std::string(kPrefix).size();
-  if (report_json.size() > plen + 1 && report_json.rfind(kPrefix, 0) == 0 &&
-      report_json.back() == '}') {
-    return report_json.substr(plen, report_json.size() - plen - 1);
-  }
-  return report_json;
+/// The envelope both statuses share; `body` writes the status's member.
+template <typename Body>
+std::string response(const std::string& id_json, const char* status,
+                     const std::string& report_json, Body&& body) {
+  telemetry::JsonWriter w;
+  w.begin_object().key("fpopt_response").begin_object();
+  w.key("schema_version").i64(kServiceSchemaVersion).key("id").raw(id_json);
+  body(w.key("status").str(status));
+  if (!report_json.empty()) w.key("fpopt_run_report").raw(report_json);
+  w.end_object().end_object();
+  return std::move(w).text();
 }
 
 }  // namespace
 
 std::string build_ok_response(const std::string& id_json, const std::string& output,
                               const std::string& report_json) {
-  std::string line = "{\"fpopt_response\":{\"schema_version\":" +
-                     std::to_string(kServiceSchemaVersion) + ",\"id\":" + id_json +
-                     ",\"status\":\"ok\",\"output\":" + telemetry::json_quote(output);
-  if (!report_json.empty()) {
-    line += ",\"fpopt_run_report\":" + report_inner(report_json);
-  }
-  line += "}}";
-  return line;
+  return response(id_json, "ok", report_json,
+                  [&](telemetry::JsonWriter& w) { w.key("output").str(output); });
 }
 
 std::string build_error_response(const std::string& id_json, const ServiceError& error,
                                  const std::string& report_json) {
-  std::string line = "{\"fpopt_response\":{\"schema_version\":" +
-                     std::to_string(kServiceSchemaVersion) + ",\"id\":" + id_json +
-                     ",\"status\":\"error\",\"error\":{\"code\":\"" +
-                     to_string(error.code) +
-                     "\",\"message\":" + telemetry::json_quote(error.message) + "}";
-  if (!report_json.empty()) {
-    line += ",\"fpopt_run_report\":" + report_inner(report_json);
-  }
-  line += "}}";
-  return line;
+  return response(id_json, "error", report_json, [&](telemetry::JsonWriter& w) {
+    w.key("error").begin_object().key("code").str(to_string(error.code));
+    w.key("message").str(error.message).end_object();
+  });
 }
 
 std::vector<std::string> validate_service_response(const telemetry::JsonValue& doc) {
-  std::vector<std::string> errors;
-  const auto fail = [&errors](std::string msg) { errors.push_back(std::move(msg)); };
-
-  if (!doc.is_object() || doc.object.size() != 1) {
-    fail("response must be a single-member {\"fpopt_response\": {...}} object");
-    return errors;
+  using telemetry::Want;
+  telemetry::SchemaCheck c;
+  if (!c.require(doc.is_object() && doc.object.size() == 1,
+                 "response must be a single-member {\"fpopt_response\": {...}} object")) {
+    return std::move(c.errors);
   }
-  const JsonValue* r = doc.find("fpopt_response");
-  if (r == nullptr || !r->is_object()) {
-    fail("missing object member 'fpopt_response'");
-    return errors;
-  }
-  const JsonValue* version = r->find("schema_version");
-  if (version == nullptr || !version->is_number() || !version->is_integer ||
-      version->integer != kServiceSchemaVersion) {
-    fail("fpopt_response.schema_version must be the integer " +
-         std::to_string(kServiceSchemaVersion));
+  const std::string at = "fpopt_response";
+  const JsonValue* r = c.member(doc, at, Want::kObject, "");
+  if (r == nullptr) return std::move(c.errors);
+  if (const JsonValue* v = c.member(*r, "schema_version", Want::kNonNegInteger, at)) {
+    c.require(v->integer == kServiceSchemaVersion,
+              at + ".schema_version must be " + std::to_string(kServiceSchemaVersion));
   }
   const JsonValue* id = r->find("id");
-  if (id == nullptr) {
-    fail("fpopt_response.id is required (null for unidentifiable requests)");
-  } else if (!id->is_string() && !(id->is_number() && id->is_integer) &&
-             id->kind != JsonValue::Kind::Null) {
-    fail("fpopt_response.id must be a string, an integer or null");
+  if (c.require(id != nullptr,
+                at + ".id: missing required key (null for unidentifiable requests)")) {
+    c.require(id->is_string() || id->is_integer || id->kind == JsonValue::Kind::Null,
+              at + ".id must be a string, an integer or null");
   }
-  const JsonValue* status = r->find("status");
-  const std::string status_text = (status != nullptr && status->is_string())
-                                      ? status->string
-                                      : std::string();
-  if (status_text != "ok" && status_text != "error") {
-    fail("fpopt_response.status must be \"ok\" or \"error\"");
-    return errors;
+  const JsonValue* status = c.member(*r, "status", Want::kString, at);
+  if (status == nullptr ||
+      !c.require(status->string == "ok" || status->string == "error",
+                 at + ".status must be \"ok\" or \"error\"")) {
+    return std::move(c.errors);
   }
-  const JsonValue* output = r->find("output");
-  const JsonValue* err = r->find("error");
-  if (status_text == "ok") {
-    if (output == nullptr || !output->is_string()) {
-      fail("ok response requires a string 'output'");
-    }
-    if (err != nullptr) fail("ok response must not carry 'error'");
+  if (status->string == "ok") {
+    c.member(*r, "output", Want::kString, at);
+    c.require(r->find("error") == nullptr, at + ".error must not appear in an ok response");
   } else {
-    if (output != nullptr) fail("error response must not carry 'output'");
-    if (err == nullptr || !err->is_object()) {
-      fail("error response requires an object 'error'");
-    } else {
-      const JsonValue* code = err->find("code");
-      static const char* kCodes[] = {"E_PARSE",     "E_SCHEMA",     "E_COMMAND",
-                                     "E_OPTION",    "E_INPUT",      "E_BUDGET",
-                                     "E_OVERSIZED", "E_OVERLOADED", "E_DEADLINE",
-                                     "E_INTERNAL"};
-      bool code_ok = false;
-      if (code != nullptr && code->is_string()) {
-        for (const char* c : kCodes) code_ok = code_ok || code->string == c;
+    c.require(r->find("output") == nullptr,
+              at + ".output must not appear in an error response");
+    if (const JsonValue* err = c.member(*r, "error", Want::kObject, at)) {
+      if (const JsonValue* code = c.member(*err, "code", Want::kString, at + ".error")) {
+        bool known = false;  // kInternal is the last code
+        for (int i = 0; i <= static_cast<int>(ServiceErrorCode::kInternal); ++i) {
+          known = known || code->string == to_string(static_cast<ServiceErrorCode>(i));
+        }
+        c.require(known, at + ".error.code \"" + code->string +
+                             "\" is not one of the documented E_* codes");
       }
-      if (!code_ok) fail("error.code must be one of the documented E_* codes");
-      const JsonValue* message = err->find("message");
-      if (message == nullptr || !message->is_string()) {
-        fail("error.message must be a string");
-      }
+      c.member(*err, "message", Want::kString, at + ".error");
     }
   }
   if (const JsonValue* report = r->find("fpopt_run_report")) {
-    for (std::string& e : telemetry::validate_run_report(*report)) {
-      errors.push_back("fpopt_run_report: " + std::move(e));
+    for (const std::string& e : telemetry::validate_run_report(*report)) {
+      c.errors.push_back(at + "." + e);
     }
   }
-  for (const auto& [key, value] : r->object) {
-    (void)value;
-    if (key != "schema_version" && key != "id" && key != "status" && key != "output" &&
-        key != "error" && key != "fpopt_run_report") {
-      fail("unknown fpopt_response member '" + key + "'");
-    }
-  }
-  return errors;
+  c.only(*r, {"schema_version", "id", "status", "output", "error", "fpopt_run_report"}, at);
+  return std::move(c.errors);
 }
 
 }  // namespace fpopt

@@ -116,8 +116,9 @@ struct ServiceRequest {
                                   ServiceError& error);
 
 /// One ok-response line (no trailing newline). `output` is the CLI's
-/// byte-exact stdout text; `report_json` is a compact run-report document
-/// ({"fpopt_run_report": ...}) or empty for none.
+/// byte-exact stdout text; `report_json` is the compact inner run-report
+/// object (RunReport::body_json), written as the response's
+/// "fpopt_run_report" member, or empty for none.
 [[nodiscard]] std::string build_ok_response(const std::string& id_json,
                                             const std::string& output,
                                             const std::string& report_json);

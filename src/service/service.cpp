@@ -4,6 +4,7 @@
 
 #include "floorplan/serialize.h"
 #include "service/metrics.h"
+#include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -316,7 +317,7 @@ std::string Service::handle_request(const ServiceRequest& request, std::uint64_t
     // `fpopt --stats` on the same inputs — the report rode through
     // execute_command before the abort surfaced.
     const std::string report_json =
-        (request.want_report && e.over_budget) ? report.to_json(false) : std::string();
+        (request.want_report && e.over_budget) ? report.body_json() : std::string();
     return fail(e.over_budget ? ServiceErrorCode::kBudget : ServiceErrorCode::kOption,
                 e.message, report_json);
   } catch (...) {
@@ -332,7 +333,7 @@ std::string Service::handle_request(const ServiceRequest& request, std::uint64_t
   }
   outcome.ok = true;
   return build_ok_response(request.id_json, out.str(),
-                           request.want_report ? report.to_json(false) : std::string());
+                           request.want_report ? report.body_json() : std::string());
 }
 
 std::string Service::handle_metrics_verb(const ServiceRequest& request,
@@ -360,28 +361,24 @@ std::string Service::handle_trace_verb(const ServiceRequest& request, RequestOut
   std::lock_guard<std::mutex> lock(traces_mu_);
   const std::string pick = request.pick.empty() ? "recent" : request.pick;
   if (pick == "list") {
-    std::ostringstream body;
-    body << "{\"fpopt_request_traces\":{\"schema_version\":1,\"recent\":[";
-    for (std::size_t i = 0; i < traces_.size(); ++i) {
-      const RetainedTrace& rt = traces_[i];
-      if (i != 0) body << ",";
-      body << "{\"request_id\":" << rt.request_id
-           << ",\"command\":" << telemetry::json_quote(rt.command)
-           << ",\"seconds\":" << telemetry::json_number(rt.seconds)
-           << ",\"dropped_events\":" << rt.dropped_events << "}";
-    }
-    body << "],\"slowest\":";
+    telemetry::JsonWriter body;
+    const auto entry = [&body](const RetainedTrace& rt) {
+      body.begin_object().key("request_id").u64(rt.request_id).key("command").str(rt.command);
+      body.key("seconds").num(rt.seconds).key("dropped_events").u64(rt.dropped_events);
+      body.end_object();
+    };
+    body.begin_object().key("fpopt_request_traces").begin_object();
+    body.key("schema_version").u64(1).key("recent").begin_array();
+    for (const RetainedTrace& rt : traces_) entry(rt);
+    body.end_array().key("slowest");
     if (have_slowest_) {
-      body << "{\"request_id\":" << slowest_.request_id
-           << ",\"command\":" << telemetry::json_quote(slowest_.command)
-           << ",\"seconds\":" << telemetry::json_number(slowest_.seconds)
-           << ",\"dropped_events\":" << slowest_.dropped_events << "}";
+      entry(slowest_);
     } else {
-      body << "null";
+      body.raw("null");
     }
-    body << "}}\n";
+    body.end_object().end_object();
     outcome.ok = true;
-    return build_ok_response(request.id_json, body.str(), "");
+    return build_ok_response(request.id_json, body.text() + "\n", "");
   }
   if (pick == "slowest") {
     if (!have_slowest_) return fail("no request trace retained yet");

@@ -1,5 +1,6 @@
 #include "telemetry/json.h"
 
+#include <cassert>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -272,34 +273,39 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
-std::string JsonValue::dump() const {
-  switch (kind) {
-    case Kind::Null: return "null";
-    case Kind::Bool: return boolean ? "true" : "false";
-    case Kind::Number:
-      if (is_integer) return std::to_string(integer);
-      return json_number(number);
-    case Kind::String: return json_quote(string);
-    case Kind::Array: {
-      std::string s = "[";
-      for (std::size_t i = 0; i < array.size(); ++i) {
-        if (i != 0) s += ',';
-        s += array[i].dump();
+namespace {
+
+void write_value(JsonWriter& w, const JsonValue& v) {
+  switch (v.kind) {
+    case JsonValue::Kind::Null: w.raw("null"); return;
+    case JsonValue::Kind::Bool: w.boolean(v.boolean); return;
+    case JsonValue::Kind::Number:
+      if (v.is_integer) {
+        w.i64(v.integer);
+      } else {
+        w.num(v.number);
       }
-      return s + "]";
-    }
-    case Kind::Object: {
-      std::string s = "{";
-      for (std::size_t i = 0; i < object.size(); ++i) {
-        if (i != 0) s += ',';
-        s += json_quote(object[i].first);
-        s += ':';
-        s += object[i].second.dump();
-      }
-      return s + "}";
-    }
+      return;
+    case JsonValue::Kind::String: w.str(v.string); return;
+    case JsonValue::Kind::Array:
+      w.begin_array();
+      for (const JsonValue& e : v.array) write_value(w, e);
+      w.end_array();
+      return;
+    case JsonValue::Kind::Object:
+      w.begin_object();
+      for (const auto& [k, e] : v.object) write_value(w.key(k), e);
+      w.end_object();
+      return;
   }
-  return "null";
+}
+
+}  // namespace
+
+std::string JsonValue::dump() const {
+  JsonWriter w;
+  write_value(w, *this);
+  return std::move(w).text();
 }
 
 JsonParseResult parse_json(const std::string& text) { return Parser(text).run(); }
@@ -324,7 +330,7 @@ void append_u_escape(std::string& out, unsigned code) {
 
 /// Decodes one UTF-8 sequence at s[i]; advances i past it and returns the
 /// code point, or returns 0xFFFD (advancing one byte) on malformed input.
-unsigned decode_utf8(const std::string& s, std::size_t& i) {
+unsigned decode_utf8(std::string_view s, std::size_t& i) {
   const auto byte = [&](std::size_t j) { return static_cast<unsigned char>(s[j]); };
   const unsigned lead = byte(i);
   std::size_t len = 0;
@@ -352,10 +358,8 @@ unsigned decode_utf8(const std::string& s, std::size_t& i) {
   return code;
 }
 
-}  // namespace
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
   for (std::size_t i = 0; i < s.size();) {
     const char c = s[i];
     switch (c) {
@@ -379,7 +383,15 @@ std::string json_quote(const std::string& s) {
       append_u_escape(out, decode_utf8(s, i));
     }
   }
-  return out + "\"";
+  out += '"';
+}
+
+}  // namespace
+
+std::string json_quote(std::string_view s) {
+  std::string out;
+  append_quoted(out, s);
+  return out;
 }
 
 std::string json_number(double v) {
@@ -392,6 +404,74 @@ std::string json_number(double v) {
     if (std::strtod(buf, nullptr) == v) break;
   }
   return buf;
+}
+
+void JsonWriter::member_slot() {
+  if (levels_.empty()) return;
+  Level& top = levels_.back();
+  if (!top.empty) out_ += ',';
+  if (pretty_) {
+    if (!top.one_line) {
+      out_ += '\n';
+      out_.append(2 * levels_.size(), ' ');
+    } else if (!top.empty) {
+      out_ += ' ';
+    }
+  }
+  top.empty = false;
+}
+
+void JsonWriter::value_slot() {
+  if (after_key_) {
+    after_key_ = false;  // key() already placed the member
+    return;
+  }
+  assert((levels_.empty() || !levels_.back().object) && "object member without a key");
+  member_slot();
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  assert(!levels_.empty() && levels_.back().object && !after_key_);
+  member_slot();
+  append_quoted(out_, k);
+  out_ += pretty_ ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  // An array element starts a one-line container; so does anything
+  // inside one.
+  const bool element = !after_key_ && !levels_.empty();
+  const bool one_line = element || (!levels_.empty() && levels_.back().one_line);
+  value_slot();
+  out_ += bracket;
+  levels_.push_back({bracket == '{', one_line});
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  assert(!levels_.empty() && !after_key_ && levels_.back().object == (bracket == '}'));
+  const Level top = levels_.back();
+  levels_.pop_back();
+  if (pretty_ && !top.one_line && !top.empty) {
+    out_ += '\n';
+    out_.append(2 * levels_.size(), ' ');
+  }
+  out_ += bracket;
+  return *this;
+}
+
+JsonWriter& JsonWriter::str(std::string_view v) {
+  value_slot();
+  append_quoted(out_, v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::raw(std::string_view token) {
+  value_slot();
+  out_ += token;
+  return *this;
 }
 
 }  // namespace fpopt::telemetry

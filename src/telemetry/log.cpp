@@ -3,8 +3,6 @@
 #include <chrono>
 #include <ostream>
 
-#include "telemetry/json.h"
-
 namespace fpopt::telemetry {
 
 bool parse_log_level(const std::string& name, LogLevel& out) {
@@ -52,44 +50,43 @@ void LogSink::write_line(const std::string& line) {
 LogEvent::LogEvent(LogSink* sink, LogLevel level, const char* event)
     : sink_(sink != nullptr && sink->enabled(level) ? sink : nullptr) {
   if (!live()) return;
-  line_ = "{";
+  line_.begin_object();
   if (sink_->stamp_time()) {
     const auto now = std::chrono::system_clock::now().time_since_epoch();
-    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(now).count();
-    line_ += "\"ts_ms\":" + std::to_string(ms) + ",";
+    line_.key("ts_ms").i64(std::chrono::duration_cast<std::chrono::milliseconds>(now).count());
   }
-  line_ += "\"level\":" + json_quote(log_level_name(level)) + ",\"event\":" + json_quote(event);
+  line_.key("level").str(log_level_name(level)).key("event").str(event);
 }
 
 LogEvent& LogEvent::str(const char* key, const std::string& value) {
-  if (live()) line_ += "," + json_quote(key) + ":" + json_quote(value);
+  if (live()) line_.key(key).str(value);
   return *this;
 }
 
 LogEvent& LogEvent::num(const char* key, std::uint64_t value) {
-  if (live()) line_ += "," + json_quote(key) + ":" + std::to_string(value);
+  if (live()) line_.key(key).u64(value);
   return *this;
 }
 
 LogEvent& LogEvent::num_signed(const char* key, std::int64_t value) {
-  if (live()) line_ += "," + json_quote(key) + ":" + std::to_string(value);
+  if (live()) line_.key(key).i64(value);
   return *this;
 }
 
 LogEvent& LogEvent::dbl(const char* key, double value) {
-  if (live()) line_ += "," + json_quote(key) + ":" + json_number(value);
+  if (live()) line_.key(key).num(value);
   return *this;
 }
 
 LogEvent& LogEvent::flag(const char* key, bool value) {
-  if (live()) line_ += "," + json_quote(key) + ":" + (value ? std::string("true") : std::string("false"));
+  if (live()) line_.key(key).boolean(value);
   return *this;
 }
 
 void LogEvent::emit() {
   if (!live()) return;
-  line_ += "}";
-  sink_->write_line(line_);
+  line_.end_object();
+  sink_->write_line(line_.text());
   sink_ = nullptr;
 }
 

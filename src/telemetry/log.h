@@ -15,6 +15,7 @@
 #include <mutex>
 #include <string>
 
+#include "telemetry/json.h"
 #include "telemetry/telemetry.h"
 
 namespace fpopt::telemetry {
@@ -80,7 +81,7 @@ class LogEvent {
  private:
   [[nodiscard]] bool live() const { return sink_ != nullptr; }
   LogSink* sink_;  ///< null when suppressed: all appends are no-ops
-  std::string line_;
+  JsonWriter line_;
 };
 
 }  // namespace fpopt::telemetry

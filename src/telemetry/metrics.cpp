@@ -15,8 +15,6 @@ std::string le_seconds(std::size_t i) {
   return json_number(static_cast<double>(Histogram::upper_ns(i)) * 1e-9);
 }
 
-std::string u64_str(std::uint64_t v) { return std::to_string(v); }
-
 }  // namespace
 
 std::uint64_t Histogram::count() const {
@@ -126,87 +124,67 @@ double eval_gauge_fn(const std::function<double()>& fn) {
 
 }  // namespace
 
+std::uint64_t MetricsRegistry::counter_value(const Family& fam, const Series& s) {
+  return fam.kind == Kind::kCounter ? s.counter->get() : eval_counter_fn(s.counter_fn);
+}
+
+double MetricsRegistry::gauge_value(const Family& fam, const Series& s) {
+  return fam.kind == Kind::kGauge ? s.gauge->get() : eval_gauge_fn(s.gauge_fn);
+}
+
 std::string MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream counters;
-  std::ostringstream gauges;
-  std::ostringstream histograms;
-  bool first_counter = true;
-  bool first_gauge = true;
-  bool first_histogram = true;
-
-  auto open_family = [](std::ostringstream& os, bool& first, const Family& fam) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":" << json_quote(fam.name) << ",\"help\":" << json_quote(fam.help)
-       << ",\"series\":[";
-  };
-  auto labels_json = [](const Series& s) {
-    if (s.label_key.empty()) return std::string("{}");
-    return "{" + json_quote(s.label_key) + ":" + json_quote(s.label_value) + "}";
-  };
-
-  for (const auto& fam_ptr : families_) {
-    const Family& fam = *fam_ptr;
-    switch (fam.kind) {
-      case Kind::kCounter:
-      case Kind::kCounterFn: {
-        open_family(counters, first_counter, fam);
-        for (std::size_t i = 0; i < fam.series.size(); ++i) {
-          const Series& s = fam.series[i];
-          const std::uint64_t v =
-              fam.kind == Kind::kCounter ? s.counter->get() : eval_counter_fn(s.counter_fn);
-          if (i != 0) counters << ",";
-          counters << "{\"labels\":" << labels_json(s) << ",\"value\":" << u64_str(v) << "}";
-        }
-        counters << "]}";
-        break;
-      }
-      case Kind::kGauge:
-      case Kind::kGaugeFn: {
-        open_family(gauges, first_gauge, fam);
-        for (std::size_t i = 0; i < fam.series.size(); ++i) {
-          const Series& s = fam.series[i];
-          const double v = fam.kind == Kind::kGauge ? s.gauge->get() : eval_gauge_fn(s.gauge_fn);
-          if (i != 0) gauges << ",";
-          gauges << "{\"labels\":" << labels_json(s) << ",\"value\":" << json_number(v) << "}";
-        }
-        gauges << "]}";
-        break;
-      }
-      case Kind::kHistogram: {
-        open_family(histograms, first_histogram, fam);
-        for (std::size_t i = 0; i < fam.series.size(); ++i) {
-          const Series& s = fam.series[i];
-          const std::vector<std::uint64_t> buckets = s.histogram->bucket_counts();
-          if (i != 0) histograms << ",";
-          histograms << "{\"labels\":" << labels_json(s) << ",\"buckets\":[";
+  JsonWriter w;
+  w.begin_object().key("fpopt_metrics").begin_object();
+  w.key("schema_version").u64(1).key("telemetry").boolean(kEnabled);
+  // One pass over the families per section, in registration order.
+  const struct {
+    const char* name;
+    Kind a;
+    Kind b;
+  } kSections[] = {{"counters", Kind::kCounter, Kind::kCounterFn},
+                   {"gauges", Kind::kGauge, Kind::kGaugeFn},
+                   {"histograms", Kind::kHistogram, Kind::kHistogram}};
+  for (const auto& section : kSections) {
+    w.key(section.name).begin_array();
+    for (const auto& fam_ptr : families_) {
+      const Family& fam = *fam_ptr;
+      if (fam.kind != section.a && fam.kind != section.b) continue;
+      w.begin_object().key("name").str(fam.name).key("help").str(fam.help);
+      w.key("series").begin_array();
+      for (const Series& s : fam.series) {
+        w.begin_object().key("labels").begin_object();
+        if (!s.label_key.empty()) w.key(s.label_key).str(s.label_value);
+        w.end_object();
+        if (fam.kind == Kind::kHistogram) {
+          w.key("buckets").begin_array();
           std::uint64_t cumulative = 0;
+          const std::vector<std::uint64_t> buckets = s.histogram->bucket_counts();
           for (std::size_t b = 0; b < buckets.size(); ++b) {
             cumulative += buckets[b];
-            if (b != 0) histograms << ",";
-            histograms << "{\"le\":";
+            w.begin_object().key("le");
             if (b == Histogram::kBuckets) {
-              histograms << "\"+Inf\"";
+              w.str("+Inf");
             } else {
-              histograms << le_seconds(b);
+              w.raw(le_seconds(b));
             }
-            histograms << ",\"count\":" << u64_str(cumulative) << "}";
+            w.key("count").u64(cumulative).end_object();
           }
-          histograms << "],\"count\":" << u64_str(cumulative)
-                     << ",\"sum_seconds\":" << json_number(s.histogram->sum_seconds()) << "}";
+          w.end_array().key("count").u64(cumulative);
+          w.key("sum_seconds").num(s.histogram->sum_seconds());
+        } else if (section.a == Kind::kCounter) {
+          w.key("value").u64(counter_value(fam, s));
+        } else {
+          w.key("value").num(gauge_value(fam, s));
         }
-        histograms << "]}";
-        break;
+        w.end_object();
       }
+      w.end_array().end_object();
     }
+    w.end_array();
   }
-
-  std::ostringstream out;
-  out << "{\"fpopt_metrics\":{\"schema_version\":1,\"telemetry\":" << (kEnabled ? "true" : "false")
-      << ",\"counters\":[" << counters.str() << "],\"gauges\":[" << gauges.str()
-      << "],\"histograms\":[" << histograms.str() << "]}}\n";
-  return out.str();
+  w.end_object().end_object();
+  return std::move(w).text() + "\n";
 }
 
 std::string MetricsRegistry::to_prometheus() const {
@@ -237,18 +215,15 @@ std::string MetricsRegistry::to_prometheus() const {
           } else {
             out << "\"" << le_seconds(b) << "\"";
           }
-          out << "} " << u64_str(cumulative) << "\n";
+          out << "} " << cumulative << "\n";
         }
         out << fam.name << "_sum" << label_block(s) << " " << json_number(s.histogram->sum_seconds())
             << "\n";
-        out << fam.name << "_count" << label_block(s) << " " << u64_str(cumulative) << "\n";
+        out << fam.name << "_count" << label_block(s) << " " << cumulative << "\n";
       } else if (is_counter) {
-        const std::uint64_t v =
-            fam.kind == Kind::kCounter ? s.counter->get() : eval_counter_fn(s.counter_fn);
-        out << fam.name << label_block(s) << " " << u64_str(v) << "\n";
+        out << fam.name << label_block(s) << " " << counter_value(fam, s) << "\n";
       } else {
-        const double v = fam.kind == Kind::kGauge ? s.gauge->get() : eval_gauge_fn(s.gauge_fn);
-        out << fam.name << label_block(s) << " " << json_number(v) << "\n";
+        out << fam.name << label_block(s) << " " << json_number(gauge_value(fam, s)) << "\n";
       }
     }
   }

@@ -147,6 +147,10 @@ class MetricsRegistry {
   };
 
   Family& family_slot(const std::string& name, const std::string& help, Kind kind);
+  /// A counter (or counter_fn) series' value; zero when telemetry is off.
+  static std::uint64_t counter_value(const Family& fam, const Series& s);
+  /// A gauge (or gauge_fn) series' value; zero when telemetry is off.
+  static double gauge_value(const Family& fam, const Series& s);
   Series& series_slot(Family& fam, const std::string& label_key, const std::string& label_value);
 
   mutable std::mutex mu_;

@@ -7,82 +7,53 @@
 
 namespace fpopt::telemetry {
 
-namespace {
-
-/// Indentation helper: pretty mode gets newline + spaces, compact gets
-/// nothing (and no space after ':').
-struct Layout {
-  bool pretty;
-  [[nodiscard]] std::string nl(int depth) const {
-    if (!pretty) return "";
-    return "\n" + std::string(static_cast<std::size_t>(depth) * 2, ' ');
+void RunReport::write(JsonWriter& w) const {
+  w.begin_object();
+  w.key("schema_version").i64(kRunReportSchemaVersion);
+  w.key("tool").str(tool_);
+  w.key("command").str(command_);
+  w.key("aborted").boolean(aborted_);
+  w.key("telemetry").boolean(kEnabled);
+  w.key("config").begin_object();
+  for (const auto& [k, v] : config_) w.key(k).str(v);
+  w.end_object();
+  w.key("counters").begin_object();
+  for (const auto& [k, v] : counters_) w.key(k).u64(v);
+  w.end_object();
+  w.key("gauges").begin_object();
+  for (const auto& [k, v] : gauges_) w.key(k).num(v);
+  w.end_object();
+  w.key("phases").begin_array();
+  for (const PhaseSample& p : phases_) {
+    w.begin_object().key("name").str(p.name).key("count").u64(p.count);
+    w.key("seconds").num(p.seconds).end_object();
   }
-  [[nodiscard]] const char* colon() const { return pretty ? ": " : ":"; }
-};
-
-}  // namespace
+  w.end_array();
+  w.key("pool").begin_object().key("workers").begin_array();
+  for (const WorkerStats& s : pool_.workers) {
+    w.begin_object().key("tasks_run").u64(s.tasks_run).key("steals").u64(s.steals);
+    w.key("shared_pops").u64(s.shared_pops).key("idle_seconds").num(s.idle_seconds);
+    w.end_object();
+  }
+  w.end_array().end_object();
+  w.key("seconds").num(seconds_);
+  w.end_object();
+}
 
 std::string RunReport::to_json(bool pretty) const {
-  const Layout fmt{pretty};
-  std::ostringstream s;
-  s << '{' << fmt.nl(1) << "\"fpopt_run_report\"" << fmt.colon() << '{';
-  const auto field = [&](const char* key, bool first = false) -> std::ostringstream& {
-    if (!first) s << ',';
-    s << fmt.nl(2) << '"' << key << '"' << fmt.colon();
-    return s;
-  };
-  field("schema_version", true) << kRunReportSchemaVersion;
-  field("tool") << json_quote(tool_);
-  field("command") << json_quote(command_);
-  field("aborted") << (aborted_ ? "true" : "false");
-  field("telemetry") << (kEnabled ? "true" : "false");
+  JsonWriter w(pretty);
+  w.begin_object().key("fpopt_run_report");
+  write(w);
+  w.end_object();
+  std::string text = std::move(w).text();
+  if (pretty) text += '\n';
+  return text;
+}
 
-  field("config") << '{';
-  for (std::size_t i = 0; i < config_.size(); ++i) {
-    if (i != 0) s << ',';
-    s << fmt.nl(3) << json_quote(config_[i].first) << fmt.colon()
-      << json_quote(config_[i].second);
-  }
-  s << (config_.empty() ? "" : fmt.nl(2)) << '}';
-
-  field("counters") << '{';
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    if (i != 0) s << ',';
-    s << fmt.nl(3) << json_quote(counters_[i].first) << fmt.colon() << counters_[i].second;
-  }
-  s << (counters_.empty() ? "" : fmt.nl(2)) << '}';
-
-  field("gauges") << '{';
-  for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    if (i != 0) s << ',';
-    s << fmt.nl(3) << json_quote(gauges_[i].first) << fmt.colon()
-      << json_number(gauges_[i].second);
-  }
-  s << (gauges_.empty() ? "" : fmt.nl(2)) << '}';
-
-  field("phases") << '[';
-  for (std::size_t i = 0; i < phases_.size(); ++i) {
-    if (i != 0) s << ',';
-    s << fmt.nl(3) << "{\"name\"" << fmt.colon() << json_quote(phases_[i].name)
-      << ",\"count\"" << fmt.colon() << phases_[i].count << ",\"seconds\"" << fmt.colon()
-      << json_number(phases_[i].seconds) << '}';
-  }
-  s << (phases_.empty() ? "" : fmt.nl(2)) << ']';
-
-  field("pool") << "{\"workers\"" << fmt.colon() << '[';
-  for (std::size_t i = 0; i < pool_.workers.size(); ++i) {
-    const WorkerStats& w = pool_.workers[i];
-    if (i != 0) s << ',';
-    s << fmt.nl(3) << "{\"tasks_run\"" << fmt.colon() << w.tasks_run << ",\"steals\""
-      << fmt.colon() << w.steals << ",\"shared_pops\"" << fmt.colon() << w.shared_pops
-      << ",\"idle_seconds\"" << fmt.colon() << json_number(w.idle_seconds) << '}';
-  }
-  s << (pool_.workers.empty() ? "" : fmt.nl(2)) << "]}";
-
-  field("seconds") << json_number(seconds_);
-  s << fmt.nl(1) << '}' << fmt.nl(0) << '}';
-  if (pretty) s << '\n';
-  return s.str();
+std::string RunReport::body_json() const {
+  JsonWriter w;
+  write(w);
+  return std::move(w).text();
 }
 
 std::string RunReport::to_table() const {

@@ -17,7 +17,7 @@
 //    nature, never compared.
 //  * seconds — total wall time of the run.
 //
-// JSON schema (schema_version 1) — validated by report_schema.h:
+// JSON schema (schema_version 1) — validated by schema.h:
 //   {"fpopt_run_report": {
 //      "schema_version": 1, "tool": str, "command": str,
 //      "aborted": bool, "telemetry": bool,
@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "telemetry/json.h"
 #include "telemetry/telemetry.h"
 
 namespace fpopt::telemetry {
@@ -70,14 +71,21 @@ class RunReport {
     return counters_;
   }
 
-  /// The full document. `pretty` indents for files meant to be read;
-  /// compact single-line form embeds inside other JSON (BENCH_*.json).
+  /// The full document. `pretty` indents for files meant to be read
+  /// (and ends in a newline); compact single-line form embeds inside
+  /// other JSON (BENCH_*.json).
   [[nodiscard]] std::string to_json(bool pretty = true) const;
+
+  /// The compact inner object alone (the value of "fpopt_run_report"),
+  /// for documents that carry the report as a member (fpoptd responses).
+  [[nodiscard]] std::string body_json() const;
 
   /// Human-readable table for --stats.
   [[nodiscard]] std::string to_table() const;
 
  private:
+  void write(JsonWriter& w) const;
+
   std::string tool_;
   std::string command_;
   bool aborted_ = false;

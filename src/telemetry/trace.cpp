@@ -2,8 +2,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <ostream>
-#include <sstream>
 
 #include "telemetry/json.h"
 
@@ -124,63 +122,47 @@ std::uint64_t TraceSession::dropped_events() const {
   return total;
 }
 
-void TraceSession::write_json(std::ostream& out) const {
+std::string TraceSession::to_json() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t dropped = 0;
   for (const auto& ring : rings_) dropped += ring->dropped();
 
-  out << "{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {";
-  bool first_meta = true;
-  for (const auto& [key, value] : meta_) {
-    out << (first_meta ? "\n    " : ",\n    ") << json_quote(key) << ": "
-        << json_quote(value);
-    first_meta = false;
-  }
-  out << (first_meta ? "\n    " : ",\n    ") << "\"telemetry\": "
-      << json_quote(kEnabled ? "on" : "off");
-  out << ",\n    \"dropped_events\": " << json_quote(std::to_string(dropped));
-  out << "\n  },\n  \"traceEvents\": [";
-
-  bool first_event = true;
-  auto sep = [&] {
-    out << (first_event ? "\n    " : ",\n    ");
-    first_event = false;
-  };
-
+  JsonWriter w(/*pretty=*/true);
+  w.begin_object().key("displayTimeUnit").str("ms");
+  w.key("otherData").begin_object();
+  for (const auto& [key, value] : meta_) w.key(key).str(value);
+  w.key("telemetry").str(kEnabled ? "on" : "off");
+  w.key("dropped_events").str(std::to_string(dropped));
+  w.end_object();
+  w.key("traceEvents").begin_array();
   for (std::size_t tid = 0; tid < rings_.size(); ++tid) {
     const TraceRing& ring = *rings_[tid];
     if (!ring.name.empty()) {
-      sep();
-      out << R"({"name": "thread_name", "ph": "M", "pid": 1, "tid": )" << tid
-          << R"(, "args": {"name": )" << json_quote(ring.name) << "}}";
+      w.begin_object().key("name").str("thread_name").key("ph").str("M");
+      w.key("pid").u64(1).key("tid").u64(tid);
+      w.key("args").begin_object().key("name").str(ring.name).end_object();
+      w.end_object();
     }
     for (const TraceEvent& e : ring.events()) {
-      sep();
       // Rebase onto the session start; an event stamped before arming
       // (impossible under the lifecycle rule, but cheap to guard) clamps
       // to zero rather than wrapping.
       const std::uint64_t rel_ns = e.start_ns >= start_ns_ ? e.start_ns - start_ns_ : 0;
-      out << "{\"name\": " << json_quote(e.name != nullptr ? e.name : "")
-          << ", \"cat\": " << json_quote(trace_cat_name(e.cat))
-          << (e.instant ? R"(, "ph": "i", "s": "t")" : R"(, "ph": "X")")
-          << ", \"pid\": 1, \"tid\": " << tid
-          << ", \"ts\": " << json_number(static_cast<double>(rel_ns) / 1000.0);
-      if (!e.instant) {
-        out << ", \"dur\": " << json_number(static_cast<double>(e.dur_ns) / 1000.0);
-      }
-      out << ", \"args\": {\"id\": " << e.id << ", \"arg\": " << e.arg;
-      if (e.left >= 0) out << ", \"left\": " << e.left;
-      if (e.right >= 0) out << ", \"right\": " << e.right;
-      out << "}}";
+      w.begin_object().key("name").str(e.name != nullptr ? e.name : "");
+      w.key("cat").str(trace_cat_name(e.cat));
+      w.key("ph").str(e.instant ? "i" : "X");
+      if (e.instant) w.key("s").str("t");
+      w.key("pid").u64(1).key("tid").u64(tid);
+      w.key("ts").num(static_cast<double>(rel_ns) / 1000.0);
+      if (!e.instant) w.key("dur").num(static_cast<double>(e.dur_ns) / 1000.0);
+      w.key("args").begin_object().key("id").u64(e.id).key("arg").u64(e.arg);
+      if (e.left >= 0) w.key("left").i64(e.left);
+      if (e.right >= 0) w.key("right").i64(e.right);
+      w.end_object().end_object();
     }
   }
-  out << "\n  ]\n}\n";
-}
-
-std::string TraceSession::to_json() const {
-  std::ostringstream out;
-  write_json(out);
-  return out.str();
+  w.end_array().end_object();
+  return std::move(w).text() + "\n";
 }
 
 void TraceSpan::begin(TraceCat cat, const char* name, std::uint64_t id,

@@ -38,7 +38,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -127,7 +126,6 @@ class TraceSession {
   void set_meta(std::string key, std::string value);
 
   /// Chrome trace-event JSON. Call only after traced work has quiesced.
-  void write_json(std::ostream& out) const;
   [[nodiscard]] std::string to_json() const;
 
   /// Sum of per-ring drop counts (0 when nothing overflowed).

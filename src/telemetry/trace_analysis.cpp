@@ -1,22 +1,30 @@
 #include "telemetry/trace_analysis.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
+
+#include "telemetry/schema.h"
 
 namespace fpopt::telemetry {
 namespace {
 
-bool is_uint(const JsonValue& v) { return v.is_number() && v.is_integer && v.integer >= 0; }
+/// otherData.dropped_events: a decimal count that fits in 64 bits.
+std::optional<std::uint64_t> parse_count(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto res = std::from_chars(text.data(), end, value);
+  if (text.empty() || res.ec != std::errc() || res.ptr != end) return std::nullopt;
+  return value;
+}
 
 std::string event_label(std::size_t index, const JsonValue& e) {
-  std::ostringstream out;
-  out << "traceEvents[" << index << "]";
-  if (const JsonValue* name = e.find("name"); name != nullptr && name->is_string()) {
-    out << " (" << name->string << ")";
-  }
-  return out.str();
+  const JsonValue* name = e.find("name");
+  const std::string at = "traceEvents[" + std::to_string(index) + "]";
+  return name != nullptr && name->is_string() ? at + " (" + name->string + ")" : at;
 }
 
 /// Multiset key for the determinism contract: everything an event
@@ -53,73 +61,45 @@ std::string identity_str(const Identity& id) {
 }  // namespace
 
 bool validate_trace_document(const JsonValue& doc, std::vector<std::string>& errors) {
-  const std::size_t before = errors.size();
-  if (!doc.is_object()) {
-    errors.push_back("top level: expected an object");
+  SchemaCheck c;
+  if (!c.is(doc, Want::kObject, "top level")) {
+    errors.insert(errors.end(), c.errors.begin(), c.errors.end());
     return false;
   }
-  const JsonValue* other = doc.find("otherData");
-  if (other == nullptr || !other->is_object()) {
-    errors.push_back("otherData: missing or not an object");
-  } else {
+  if (const JsonValue* other = c.member(doc, "otherData", Want::kObject, "")) {
     for (const auto& [key, value] : other->object) {
-      if (!value.is_string()) errors.push_back("otherData." + key + ": expected a string");
+      if (key != "dropped_events") c.is(value, Want::kString, "otherData." + key);
     }
-    if (other->find("dropped_events") == nullptr) {
-      errors.push_back("otherData.dropped_events: missing");
+    if (const JsonValue* dropped =
+            c.member(*other, "dropped_events", Want::kString, "otherData")) {
+      c.require(parse_count(dropped->string).has_value(),
+                "otherData.dropped_events must be a decimal count that fits in 64 bits");
     }
   }
-  const JsonValue* events = doc.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    errors.push_back("traceEvents: missing or not an array");
-    return errors.size() == before;
-  }
-  for (std::size_t i = 0; i < events->array.size(); ++i) {
+  const JsonValue* events = c.member(doc, "traceEvents", Want::kArray, "");
+  for (std::size_t i = 0; events != nullptr && i < events->array.size(); ++i) {
     const JsonValue& e = events->array[i];
-    const std::string label = event_label(i, e);
-    if (!e.is_object()) {
-      errors.push_back(label + ": expected an object");
-      continue;
-    }
-    const JsonValue* ph = e.find("ph");
-    if (ph == nullptr || !ph->is_string()) {
-      errors.push_back(label + ": missing string \"ph\"");
-      continue;
-    }
-    const JsonValue* name = e.find("name");
-    if (name == nullptr || !name->is_string()) {
-      errors.push_back(label + ": missing string \"name\"");
-    }
-    const JsonValue* pid = e.find("pid");
-    const JsonValue* tid = e.find("tid");
-    if (pid == nullptr || !is_uint(*pid)) errors.push_back(label + ": missing integer \"pid\"");
-    if (tid == nullptr || !is_uint(*tid)) errors.push_back(label + ": missing integer \"tid\"");
+    const std::string at = event_label(i, e);
+    if (!c.is(e, Want::kObject, at)) continue;
+    const JsonValue* ph = c.member(e, "ph", Want::kString, at);
+    if (ph == nullptr) continue;
+    c.member(e, "name", Want::kString, at);
+    c.member(e, "pid", Want::kNonNegInteger, at);
+    c.member(e, "tid", Want::kNonNegInteger, at);
     if (ph->string == "M") continue;  // metadata events carry no timestamps
-    if (ph->string != "X" && ph->string != "i") {
-      errors.push_back(label + ": unsupported ph \"" + ph->string + "\"");
+    if (!c.require(ph->string == "X" || ph->string == "i",
+                   at + ".ph \"" + ph->string + "\" is unsupported")) {
       continue;
     }
-    const JsonValue* ts = e.find("ts");
-    if (ts == nullptr || !ts->is_number() || ts->number < 0) {
-      errors.push_back(label + ": missing non-negative number \"ts\"");
-    }
-    if (ph->string == "X") {
-      const JsonValue* dur = e.find("dur");
-      if (dur == nullptr || !dur->is_number() || dur->number < 0) {
-        errors.push_back(label + ": missing non-negative number \"dur\"");
-      }
-    }
-    const JsonValue* cat = e.find("cat");
-    if (cat == nullptr || !cat->is_string()) {
-      errors.push_back(label + ": missing string \"cat\"");
-    }
-    const JsonValue* args = e.find("args");
-    if (args == nullptr || !args->is_object() || args->find("id") == nullptr ||
-        !is_uint(*args->find("id"))) {
-      errors.push_back(label + ": missing args.id (non-negative integer)");
+    c.member(e, "ts", Want::kNonNegNumber, at);
+    if (ph->string == "X") c.member(e, "dur", Want::kNonNegNumber, at);
+    c.member(e, "cat", Want::kString, at);
+    if (const JsonValue* args = c.member(e, "args", Want::kObject, at)) {
+      c.member(*args, "id", Want::kNonNegInteger, at + ".args");
     }
   }
-  return errors.size() == before;
+  errors.insert(errors.end(), c.errors.begin(), c.errors.end());
+  return c.errors.empty();
 }
 
 bool load_trace(const std::string& text, LoadedTrace& out, std::string& error) {
@@ -131,21 +111,15 @@ bool load_trace(const std::string& text, LoadedTrace& out, std::string& error) {
   const JsonValue& doc = *parsed.value;
   std::vector<std::string> errors;
   if (!validate_trace_document(doc, errors)) {
-    std::ostringstream joined;
-    for (std::size_t i = 0; i < errors.size(); ++i) {
-      if (i > 0) joined << "\n";
-      joined << errors[i];
-    }
-    error = joined.str();
+    error.clear();
+    for (const std::string& e : errors) error += (error.empty() ? "" : "\n") + e;
     return false;
   }
 
   out = LoadedTrace{};
   for (const auto& [key, value] : doc.find("otherData")->object) {
     out.other_data.emplace_back(key, value.string);
-    if (key == "dropped_events") {
-      out.dropped_events = static_cast<std::uint64_t>(std::stoull(value.string));
-    }
+    if (key == "dropped_events") out.dropped_events = *parse_count(value.string);
   }
   for (const JsonValue& e : doc.find("traceEvents")->array) {
     const std::string& ph = e.find("ph")->string;
@@ -159,7 +133,8 @@ bool load_trace(const std::string& text, LoadedTrace& out, std::string& error) {
     if (const JsonValue* dur = e.find("dur"); dur != nullptr) ev.dur_us = dur->number;
     const JsonValue* args = e.find("args");
     ev.id = static_cast<std::uint64_t>(args->find("id")->integer);
-    if (const JsonValue* arg = args->find("arg"); arg != nullptr && is_uint(*arg)) {
+    if (const JsonValue* arg = args->find("arg");
+        arg != nullptr && arg->is_integer && arg->integer >= 0) {
       ev.arg = static_cast<std::uint64_t>(arg->integer);
     }
     if (const JsonValue* left = args->find("left"); left != nullptr && left->is_number()) {

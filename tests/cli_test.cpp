@@ -7,7 +7,7 @@
 
 #include "io/cli.h"
 #include "telemetry/json.h"
-#include "telemetry/report_schema.h"
+#include "telemetry/schema.h"
 
 namespace fpopt {
 namespace {
@@ -119,6 +119,14 @@ TEST_F(CliTest, ThetaRejectsTrailingGarbage) {
   EXPECT_NE(err_.str().find("bad value '0.5xyz'"), std::string::npos) << err_.str();
   EXPECT_NE(run({"optimize", topo_path_, lib_path_, "--lambda", "1.0q"}), 0);
   EXPECT_EQ(run({"optimize", topo_path_, lib_path_, "--theta", "0.5"}), 0) << err_.str();
+  // std::stod accepts "nan" and "inf" whole; neither is a value (NaN
+  // passes both sides of the (0, 1] check).
+  EXPECT_EQ(run({"optimize", topo_path_, lib_path_, "--theta", "nan"}), 2);
+  EXPECT_NE(err_.str().find("bad value 'nan' for --theta"), std::string::npos) << err_.str();
+  EXPECT_EQ(run({"optimize", topo_path_, lib_path_, "--theta", "inf"}), 2);
+  EXPECT_NE(err_.str().find("bad value 'inf' for --theta"), std::string::npos) << err_.str();
+  EXPECT_EQ(run({"anneal", topo_path_, lib_path_, "--lambda", "nan"}), 2);
+  EXPECT_NE(err_.str().find("bad value 'nan' for --lambda"), std::string::npos) << err_.str();
 }
 
 // Regression: the --cache-mb MB-to-bytes shift had no overflow guard and

@@ -12,10 +12,11 @@
 #include <thread>
 #include <vector>
 
+#include "json_edit.h"
 #include "telemetry/json.h"
 #include "telemetry/log.h"
 #include "telemetry/metrics.h"
-#include "telemetry/metrics_schema.h"
+#include "telemetry/schema.h"
 #include "telemetry/telemetry.h"
 
 namespace fpopt::telemetry {
@@ -190,6 +191,139 @@ TEST(MetricsRegistry, SnapshotKeepsFullShapeWhenTelemetryIsOff) {
     EXPECT_NE(snapshot.find("\"telemetry\":false"), std::string::npos);
     EXPECT_EQ(snapshot.find("100"), std::string::npos);
     EXPECT_EQ(snapshot.find("9"), std::string::npos);
+  }
+}
+
+/// The fixed registry the pinned-bytes and negative tests share: one
+/// counter, one gauge and one labelled histogram with no observations
+/// (so its buckets read the same in both telemetry modes).
+void fill_fixed_registry(MetricsRegistry& registry) {
+  registry.counter("demo_total", "a counter").add(3);
+  registry.gauge("demo_depth", "a gauge").set(2.5);
+  registry.histogram("demo_seconds", "a histogram", "priority", "1");
+}
+
+TEST(MetricsRegistry, JsonSnapshotBytesArePinned) {
+  MetricsRegistry registry;
+  fill_fixed_registry(registry);
+  const std::string expected =
+      std::string(R"({"fpopt_metrics":{"schema_version":1,"telemetry":)") +
+      (kEnabled ? "true" : "false") +
+      R"(,"counters":[{"name":"demo_total","help":"a counter","series":[{"labels":{},"value":)" +
+      (kEnabled ? "3" : "0") +
+      R"(}]}],"gauges":[{"name":"demo_depth","help":"a gauge","series":[{"labels":{},"value":)" +
+      (kEnabled ? "2.5" : "0") +
+      R"(}]}],"histograms":[{"name":"demo_seconds","help":"a histogram","series":[)"
+      R"({"labels":{"priority":"1"},"buckets":[)"
+      R"({"le":1.0000000000000002e-06,"count":0},{"le":2.0000000000000003e-06,"count":0},)"
+      R"({"le":4.000000000000001e-06,"count":0},{"le":8.000000000000001e-06,"count":0},)"
+      R"({"le":1.6000000000000003e-05,"count":0},{"le":3.2000000000000005e-05,"count":0},)"
+      R"({"le":6.400000000000001e-05,"count":0},{"le":0.00012800000000000002,"count":0},)"
+      R"({"le":0.00025600000000000004,"count":0},{"le":0.0005120000000000001,"count":0},)"
+      R"({"le":0.0010240000000000002,"count":0},{"le":0.0020480000000000003,"count":0},)"
+      R"({"le":0.004096000000000001,"count":0},{"le":0.008192000000000001,"count":0},)"
+      R"({"le":0.016384000000000003,"count":0},{"le":0.032768000000000005,"count":0},)"
+      R"({"le":0.06553600000000001,"count":0},{"le":0.13107200000000002,"count":0},)"
+      R"({"le":0.26214400000000004,"count":0},{"le":0.5242880000000001,"count":0},)"
+      R"({"le":1.0485760000000002,"count":0},{"le":2.0971520000000003,"count":0},)"
+      R"({"le":4.194304000000001,"count":0},{"le":8.388608000000001,"count":0},)"
+      R"({"le":16.777216000000003,"count":0},{"le":33.554432000000006,"count":0},)"
+      R"({"le":67.10886400000001,"count":0},{"le":134.21772800000002,"count":0},)"
+      R"({"le":"+Inf","count":0}],"count":0,"sum_seconds":0}]}]}})"
+      "\n";
+  EXPECT_EQ(registry.to_json(), expected);
+}
+
+TEST(MetricsSchema, EveryRuleRejectsItsMutation) {
+  MetricsRegistry registry;
+  fill_fixed_registry(registry);
+  const JsonParseResult parsed = parse_json(registry.to_json());
+  ASSERT_TRUE(parsed.value.has_value()) << parsed.error;
+  const JsonValue& original = *parsed.value;
+  ASSERT_EQ(validate_embedded_metrics(original), std::vector<std::string>{});
+  const test::JsonEdit kRows[] = {
+      {"/fpopt_metrics", "[]"},
+      {"/fpopt_metrics/schema_version", "2"},
+      {"/fpopt_metrics/schema_version", "\"1\""},
+      {"/fpopt_metrics/schema_version", nullptr},
+      {"/fpopt_metrics/telemetry", "1"},
+      {"/fpopt_metrics/telemetry", nullptr},
+      {"/fpopt_metrics/counters", nullptr},
+      {"/fpopt_metrics/gauges", "{}"},
+      {"/fpopt_metrics/histograms", "\"none\""},
+      {"/fpopt_metrics/extra", "1"},
+      {"/fpopt_metrics/counters/0", "7"},
+      {"/fpopt_metrics/counters/0/name", "\"9bad\""},
+      {"/fpopt_metrics/counters/0/name", nullptr},
+      {"/fpopt_metrics/counters/0/help", "\"\""},
+      {"/fpopt_metrics/gauges/0/name", "\"demo_total\""},
+      {"/fpopt_metrics/counters/0/series", "[]"},
+      {"/fpopt_metrics/counters/0/series/0", "1"},
+      {"/fpopt_metrics/counters/0/series/0/labels", nullptr},
+      {"/fpopt_metrics/counters/0/series/1", R"({"labels":{},"value":1})"},
+      {"/fpopt_metrics/gauges/0/series/0/value", "\"2.5\""},
+      {"/fpopt_metrics/histograms/0/series/0/labels/priority", "1"},
+      {"/fpopt_metrics/histograms/0/series/0/buckets", "[]"},
+      {"/fpopt_metrics/histograms/0/series/0/sum_seconds", "-1"},
+      {"/fpopt_metrics/histograms/0/series/0/buckets/0/count", "5"},
+      {"/fpopt_metrics/histograms/0/series/0/buckets/0/count", "-1"},
+      {"/fpopt_metrics/histograms/0/series/0/buckets/1/le", "0"},
+      {"/fpopt_metrics/histograms/0/series/0/buckets/3/le", nullptr},
+      {"/fpopt_metrics/histograms/0/series/0/buckets/28/le", "200"},
+      {"/fpopt_metrics/histograms/0/series/0/buckets/29", R"({"le":300,"count":0})"},
+      {"/fpopt_metrics/histograms/0/series/0/count", "3"},
+  };
+  for (const test::JsonEdit& row : kRows) {
+    SCOPED_TRACE(test::edit_label(row));
+    JsonValue doc = original;
+    ASSERT_TRUE(test::apply_edit(doc, row));
+    EXPECT_FALSE(validate_embedded_metrics(doc).empty());
+    EXPECT_FALSE(validate_metrics_snapshot(*doc.find("fpopt_metrics")).empty());
+  }
+  JsonValue no_block;
+  no_block.kind = JsonValue::Kind::Object;
+  EXPECT_FALSE(validate_embedded_metrics(no_block).empty());
+}
+
+TEST(MetricsSchema, PrometheusRulesRejectTheirMutations) {
+  MetricsRegistry registry;
+  fill_fixed_registry(registry);
+  const std::string original = registry.to_prometheus();
+  ASSERT_EQ(validate_prometheus_text(original), std::vector<std::string>{});
+  const std::string inf = "demo_seconds_bucket{priority=\"1\",le=\"+Inf\"} 0\n";
+  const std::string count = "demo_seconds_count{priority=\"1\"} 0\n";
+  const std::string gauge = std::string("\ndemo_depth ") + (kEnabled ? "2.5" : "0") + "\n";
+  const struct {
+    const char* what;
+    std::string from;
+    std::string to;
+  } kRows[] = {
+      {"unknown TYPE", "# TYPE demo_total counter", "# TYPE demo_total summary"},
+      {"unknown directive", "# HELP demo_total", "# NOTE demo_total"},
+      {"duplicate TYPE", "# TYPE demo_depth gauge\n",
+       "# TYPE demo_depth gauge\n# TYPE demo_depth gauge\n"},
+      {"sample without TYPE", "\ndemo_depth ", "\nother_depth "},
+      {"sample without a value", gauge, "\ndemo_depth\n"},
+      {"non-numeric value", gauge, "\ndemo_depth high\n"},
+      {"bad metric name", gauge, "\n9demo 2.5\n"},
+      {"unclosed label block", "_sum{priority=\"1\"}", "_sum{priority=\"1\""},
+      {"bucket without le", inf, "demo_seconds_bucket{priority=\"1\"} 0\n"},
+      {"buckets not cumulative", "\"} 0\ndemo_seconds_bucket", "\"} 5\ndemo_seconds_bucket"},
+      {"le bounds not increasing", "le=\"", "le=\"9"},
+      {"bucket after +Inf", inf, inf + "demo_seconds_bucket{priority=\"1\",le=\"200\"} 0\n"},
+      {"duplicate +Inf", inf, inf + inf},
+      {"no +Inf bucket", inf, ""},
+      {"_count disagrees with +Inf", count, "demo_seconds_count{priority=\"1\"} 7\n"},
+      {"no _count", count, ""},
+      {"no samples", original, "# HELP demo_total a counter\n# TYPE demo_total counter\n"},
+  };
+  for (const auto& row : kRows) {
+    SCOPED_TRACE(row.what);
+    std::string text = original;
+    const std::size_t at = text.find(row.from);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, row.from.size(), row.to);
+    EXPECT_FALSE(validate_prometheus_text(text).empty()) << text;
   }
 }
 

@@ -20,8 +20,8 @@
 #include "optimize/optimizer.h"
 #include "optimize/placement.h"
 #include "telemetry/json.h"
-#include "telemetry/report_schema.h"
 #include "telemetry/run_report.h"
+#include "telemetry/schema.h"
 #include "test_util.h"
 #include "workload/floorplans.h"
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <random>
@@ -22,7 +23,9 @@
 #include "floorplan/serialize.h"
 #include "io/cli.h"
 #include "optimize/optimizer.h"
+#include "service/client.h"
 #include "service/protocol.h"
+#include "service/server.h"
 #include "service/service.h"
 #include "telemetry/json.h"
 #include "workload/floorplans.h"
@@ -402,6 +405,78 @@ TEST(ServiceEquivalence, DispatchGateNeverChangesResponseBytes) {
   // And an ungated service accepts the members too, with the same bytes.
   EXPECT_EQ(baseline.handle_frame(with_policy("p1", "\"priority\":2,\"deadline_ms\":60000")),
             expected);
+}
+
+CliRun run_client_args(const std::vector<std::string>& args) {
+  std::istringstream in;
+  std::ostringstream out;
+  std::ostringstream err;
+  CliRun r;
+  r.code = run_client(args, in, out, err);
+  r.out = out.str();
+  r.err = err.str();
+  return r;
+}
+
+// `fpopt client` command mode end to end: the client builds the request
+// frame from the CLI's flag surface, the daemon answers over a Unix
+// socket, and the printed output is standalone `fpopt`'s stdout.
+TEST(ClientCommandMode, OutputMatchesStandaloneFpopt) {
+  const std::string socket = testing::TempDir() + "client_command_mode.sock";
+  ServiceConfig config;
+  config.pool_workers = 2;
+  Service service(config);
+  std::ostringstream server_err;
+  std::thread server([&] { EXPECT_EQ(serve_unix(service, socket, server_err), 0); });
+  int ping = 2;
+  for (int attempt = 0; attempt < 250 && ping != 0; ++attempt) {
+    ping = run_client_args({"--connect", socket, "ping"}).code;
+    if (ping != 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(ping, 0) << "the daemon never answered a ping";
+
+  const std::vector<std::string> flags = {"--k1", "8", "--k2", "10", "--theta", "0.9",
+                                          "--metric", "l2", "--incremental", "--cache-mb", "4"};
+  for (int fp = 1; fp <= 4 && ping == 0; ++fp) {
+    SCOPED_TRACE("fp" + std::to_string(fp));
+    const CliFiles files("fp" + std::to_string(fp), corpus_text(fp));
+    std::vector<std::string> cli_args = {"optimize", files.topo_path, files.lib_path};
+    cli_args.insert(cli_args.end(), flags.begin(), flags.end());
+    std::ostringstream cli_out;
+    std::ostringstream cli_err;
+    EXPECT_EQ(run_cli(cli_args, cli_out, cli_err), 0) << cli_err.str();
+
+    std::vector<std::string> client_args = {"--connect", socket, "optimize", files.topo_path,
+                                            files.lib_path};
+    client_args.insert(client_args.end(), flags.begin(), flags.end());
+    for (const char* extra : {"--id", "x", "--priority", "2", "--deadline-ms", "60000"}) {
+      client_args.emplace_back(extra);
+    }
+    const CliRun client = run_client_args(client_args);
+    EXPECT_EQ(client.code, 0) << client.err;
+    EXPECT_EQ(client.err, "");
+    EXPECT_EQ(client.out, cli_out.str());
+  }
+  EXPECT_EQ(run_client_args({"--connect", socket, "shutdown"}).code, ping == 0 ? 0 : 2);
+  server.join();
+  EXPECT_EQ(server_err.str(), "");
+}
+
+// No daemon runs here: a flag error must be reported before the client
+// connects (a failed connect exits 2 as well, so the message decides).
+TEST(ClientCommandMode, NonFiniteFlagValuesAreUsageErrors) {
+  const std::string socket = testing::TempDir() + "no_daemon_here.sock";
+  const CliFiles files("fp1", corpus_text(1));
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(value);
+    const CliRun client = run_client_args(
+        {"--connect", socket, "optimize", files.topo_path, files.lib_path, "--theta", value});
+    EXPECT_EQ(client.code, 2);
+    EXPECT_NE(client.err.find(std::string("bad value '") + value + "' for --theta"),
+              std::string::npos)
+        << client.err;
+    EXPECT_EQ(client.out, "");
+  }
 }
 
 }  // namespace

@@ -20,7 +20,7 @@
 #include "service/service.h"
 #include "telemetry/json.h"
 #include "telemetry/log.h"
-#include "telemetry/metrics_schema.h"
+#include "telemetry/schema.h"
 #include "telemetry/telemetry.h"
 
 namespace fpopt {

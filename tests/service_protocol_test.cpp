@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "json_edit.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/service.h"
@@ -144,6 +145,69 @@ TEST(ServiceProtocol, IdIsEchoedIntoErrorResponses) {
   const std::string numeric = service.handle_frame(
       "{\"fpopt_request\":{\"schema_version\":1,\"id\":41,\"command\":\"nope\"}}");
   EXPECT_EQ(checked_response(numeric).find("id")->integer, 41);
+}
+
+TEST(ServiceProtocol, ResponseBytesWithoutAReportArePinned) {
+  EXPECT_EQ(build_ok_response("\"x\"", "best area: 42\n\"q\"\t\x01", ""),
+            R"({"fpopt_response":{"schema_version":1,"id":"x","status":"ok",)"
+            R"("output":"best area: 42\n\"q\"\t\u0001"}})");
+  EXPECT_EQ(build_error_response("7",
+                                 {ServiceErrorCode::kOption, "option 'theta' must be in (0, 1]"},
+                                 ""),
+            R"({"fpopt_response":{"schema_version":1,"id":7,"status":"error",)"
+            R"("error":{"code":"E_OPTION","message":"option 'theta' must be in (0, 1]"}}})");
+  EXPECT_EQ(build_error_response("null", {ServiceErrorCode::kParse, ""}, ""),
+            R"({"fpopt_response":{"schema_version":1,"id":null,"status":"error",)"
+            R"("error":{"code":"E_PARSE","message":""}}})");
+}
+
+TEST(ServiceProtocol, EveryResponseRuleRejectsItsMutation) {
+  Service service(ServiceConfig{});
+  std::string frame = valid_frame();
+  frame.insert(frame.size() - 2, ",\"report\":true");
+  const telemetry::JsonParseResult ok = telemetry::parse_json(service.handle_frame(frame));
+  const telemetry::JsonParseResult error =
+      telemetry::parse_json(service.handle_frame("{\"fpopt_request\":{\"schema_version\":1,"
+                                                 "\"id\":\"e\",\"command\":\"nope\"}}"));
+  ASSERT_TRUE(ok.value.has_value() && error.value.has_value());
+  ASSERT_NE(ok.value->find("fpopt_response")->find("fpopt_run_report"), nullptr);
+  ASSERT_EQ(validate_service_response(*ok.value), std::vector<std::string>{});
+  ASSERT_EQ(validate_service_response(*error.value), std::vector<std::string>{});
+  const struct {
+    bool ok;
+    test::JsonEdit edit;
+  } kRows[] = {
+      {true, {"/extra", "1"}},
+      {true, {"/fpopt_response", "[]"}},
+      {true, {"/fpopt_response/schema_version", "2"}},
+      {true, {"/fpopt_response/schema_version", nullptr}},
+      {true, {"/fpopt_response/id", nullptr}},
+      {true, {"/fpopt_response/id", "1.5"}},
+      {true, {"/fpopt_response/id", "[]"}},
+      {true, {"/fpopt_response/status", "\"maybe\""}},
+      {true, {"/fpopt_response/status", nullptr}},
+      {true, {"/fpopt_response/output", nullptr}},
+      {true, {"/fpopt_response/output", "3"}},
+      {true, {"/fpopt_response/error", R"({"code":"E_PARSE","message":"x"})"}},
+      {true, {"/fpopt_response/extra", "1"}},
+      {true, {"/fpopt_response/fpopt_run_report/schema_version", "2"}},
+      {true, {"/fpopt_response/fpopt_run_report/counters/cache.x", "-1"}},
+      {true, {"/fpopt_response/fpopt_run_report/phases", "{}"}},
+      {false, {"/fpopt_response/id", "true"}},
+      {false, {"/fpopt_response/output", "\"x\""}},
+      {false, {"/fpopt_response/error", nullptr}},
+      {false, {"/fpopt_response/error", "\"E_COMMAND\""}},
+      {false, {"/fpopt_response/error/code", "\"E_NOPE\""}},
+      {false, {"/fpopt_response/error/code", nullptr}},
+      {false, {"/fpopt_response/error/message", "1"}},
+      {false, {"/fpopt_response/error/message", nullptr}},
+  };
+  for (const auto& row : kRows) {
+    SCOPED_TRACE(std::string(row.ok ? "ok: " : "error: ") + test::edit_label(row.edit));
+    telemetry::JsonValue doc = row.ok ? *ok.value : *error.value;
+    ASSERT_TRUE(test::apply_edit(doc, row.edit));
+    EXPECT_FALSE(validate_service_response(doc).empty());
+  }
 }
 
 TEST(ServiceProtocol, OversizedFramesAreRejectedNotFatal) {

@@ -16,11 +16,12 @@
 #include <vector>
 
 #include "io/run_report_build.h"
+#include "json_edit.h"
 #include "optimize/optimizer.h"
 #include "runtime/thread_pool.h"
 #include "telemetry/json.h"
-#include "telemetry/report_schema.h"
 #include "telemetry/run_report.h"
+#include "telemetry/schema.h"
 #include "telemetry/telemetry.h"
 #include "workload/floorplans.h"
 
@@ -384,6 +385,69 @@ TEST(ReportSchema, EmbeddedSearchFindsNestedReportsAndFlagsAbsence) {
   const std::vector<std::string> errors = telemetry::validate_embedded_run_reports(empty);
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors.front().find("no fpopt_run_report"), std::string::npos);
+}
+
+TEST(ReportSchema, EveryRuleRejectsItsMutation) {
+  const JsonValue original = parsed_sample();
+  ASSERT_TRUE(telemetry::validate_run_report(original).empty());
+  const test::JsonEdit kRows[] = {
+      {"/fpopt_run_report", "[]"},
+      {"/fpopt_run_report/schema_version", "2"},
+      {"/fpopt_run_report/schema_version", "\"1\""},
+      {"/fpopt_run_report/schema_version", nullptr},
+      {"/fpopt_run_report/tool", "\"\""},
+      {"/fpopt_run_report/tool", "7"},
+      {"/fpopt_run_report/tool", nullptr},
+      {"/fpopt_run_report/command", "\"\""},
+      {"/fpopt_run_report/command", nullptr},
+      {"/fpopt_run_report/aborted", "0"},
+      {"/fpopt_run_report/aborted", nullptr},
+      {"/fpopt_run_report/telemetry", "\"on\""},
+      {"/fpopt_run_report/telemetry", nullptr},
+      {"/fpopt_run_report/config", "[]"},
+      {"/fpopt_run_report/config/k1", "8"},
+      {"/fpopt_run_report/counters", "[]"},
+      {"/fpopt_run_report/counters/cache.hits", "-1"},
+      {"/fpopt_run_report/counters/optimizer.total_generated", "1.5"},
+      {"/fpopt_run_report/counters/undotted", "1"},
+      {"/fpopt_run_report/gauges", "0.5"},
+      {"/fpopt_run_report/gauges/optimizer.prune_ratio", "\"0.5\""},
+      {"/fpopt_run_report/phases", "{}"},
+      {"/fpopt_run_report/phases/0", "1"},
+      {"/fpopt_run_report/phases/0/name", "3"},
+      {"/fpopt_run_report/phases/0/name", nullptr},
+      {"/fpopt_run_report/phases/0/count", "-1"},
+      {"/fpopt_run_report/phases/0/seconds", "\"fast\""},
+      {"/fpopt_run_report/pool", "[]"},
+      {"/fpopt_run_report/pool/workers", nullptr},
+      {"/fpopt_run_report/pool/workers", "{}"},
+      {"/fpopt_run_report/pool/workers/0", "\"w\""},
+      {"/fpopt_run_report/pool/workers/0/steals", "-1"},
+      {"/fpopt_run_report/pool/workers/0/tasks_run", nullptr},
+      {"/fpopt_run_report/pool/workers/0/idle_seconds", "true"},
+      {"/fpopt_run_report/seconds", nullptr},
+      {"/fpopt_run_report/seconds", "\"0.25\""},
+  };
+  for (const test::JsonEdit& row : kRows) {
+    SCOPED_TRACE(test::edit_label(row));
+    JsonValue doc = original;
+    ASSERT_TRUE(test::apply_edit(doc, row));
+    EXPECT_FALSE(telemetry::validate_run_report(doc).empty());
+    EXPECT_FALSE(telemetry::validate_embedded_run_reports(doc).empty());
+  }
+}
+
+TEST(RunReportTest, CompactJsonBytesArePinned) {
+  const std::string expected =
+      std::string(R"({"fpopt_run_report":{"schema_version":1,"tool":"fpopt_tests",)"
+                  R"("command":"sample","aborted":false,"telemetry":)") +
+      (telemetry::kEnabled ? "true" : "false") +
+      R"(,"config":{"k1":"8"},"counters":{"optimizer.total_generated":123,"cache.hits":0},)"
+      R"("gauges":{"optimizer.prune_ratio":0.5},)"
+      R"("phases":[{"name":"evaluate","count":1,"seconds":0.125}],)"
+      R"("pool":{"workers":[{"tasks_run":7,"steals":1,"shared_pops":2,"idle_seconds":0.01}]},)"
+      R"("seconds":0.25}})";
+  EXPECT_EQ(sample_report().to_json(false), expected);
 }
 
 // ---- report builders over a real run ----------------------------------

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "json_edit.h"
 #include "optimize/optimizer.h"
 #include "telemetry/trace_analysis.h"
 #include "workload/floorplans.h"
@@ -162,6 +163,74 @@ TEST(Trace, SpanAndInstantHooksRecordDeterministicIdentity) {
   } else {
     EXPECT_TRUE(trace.events.empty());
     EXPECT_EQ(telemetry::TraceSession::current(), nullptr);
+  }
+}
+
+TEST(TraceSchema, EveryRuleRejectsItsMutation) {
+  // A real export, with one event of each phase the writer emits put in
+  // front, so every row has an event to break in both telemetry modes.
+  telemetry::JsonParseResult parsed = telemetry::parse_json(traced_fp3_run(0));
+  ASSERT_TRUE(parsed.value.has_value()) << parsed.error;
+  telemetry::JsonValue original = std::move(*parsed.value);
+  const char* kLeading[] = {
+      R"({"name": "thread_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "main"}})",
+      R"({"name": "eval_node", "cat": "node", "ph": "X", "pid": 1, "tid": 0, "ts": 1.5,)"
+      R"( "dur": 2.25, "args": {"id": 3, "arg": 0, "left": 1, "right": 2}})",
+      R"({"name": "steal", "cat": "pool", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 2,)"
+      R"( "args": {"id": 0, "arg": 0}})",
+  };
+  for (auto& [key, value] : original.object) {
+    if (key != "traceEvents") continue;
+    for (std::size_t i = 3; i-- > 0;) {
+      value.array.insert(value.array.begin(), *telemetry::parse_json(kLeading[i]).value);
+    }
+  }
+  std::vector<std::string> errors;
+  ASSERT_TRUE(telemetry::validate_trace_document(original, errors)) << errors.front();
+
+  const test::JsonEdit kRows[] = {
+      {"", "[]"},
+      {"/otherData", nullptr},
+      {"/otherData", "[]"},
+      {"/otherData/tool", "1"},
+      {"/otherData/dropped_events", nullptr},
+      {"/otherData/dropped_events", "3"},
+      {"/otherData/dropped_events", "\"many\""},
+      {"/otherData/dropped_events", "\"99999999999999999999999\""},
+      {"/otherData/dropped_events", "\"-1\""},
+      {"/otherData/dropped_events", "\"\""},
+      {"/traceEvents", nullptr},
+      {"/traceEvents", "{}"},
+      {"/traceEvents/0", "5"},
+      {"/traceEvents/0/tid", nullptr},
+      {"/traceEvents/0/pid", "\"1\""},
+      {"/traceEvents/1/ph", nullptr},
+      {"/traceEvents/1/ph", "\"B\""},
+      {"/traceEvents/1/name", "1"},
+      {"/traceEvents/1/pid", "-1"},
+      {"/traceEvents/1/tid", "0.5"},
+      {"/traceEvents/1/ts", "-1"},
+      {"/traceEvents/1/ts", nullptr},
+      {"/traceEvents/1/dur", nullptr},
+      {"/traceEvents/1/dur", "\"long\""},
+      {"/traceEvents/1/cat", "2"},
+      {"/traceEvents/1/args", nullptr},
+      {"/traceEvents/1/args/id", "-3"},
+      {"/traceEvents/2/ts", "\"now\""},
+      {"/traceEvents/2/cat", nullptr},
+      {"/traceEvents/2/args/id", nullptr},
+  };
+  for (const test::JsonEdit& row : kRows) {
+    SCOPED_TRACE(test::edit_label(row));
+    telemetry::JsonValue doc = original;
+    ASSERT_TRUE(test::apply_edit(doc, row));
+    errors.clear();
+    EXPECT_FALSE(telemetry::validate_trace_document(doc, errors));
+    EXPECT_FALSE(errors.empty());
+    LoadedTrace trace;
+    std::string error;
+    EXPECT_FALSE(telemetry::load_trace(doc.dump(), trace, error));
+    EXPECT_FALSE(error.empty());
   }
 }
 

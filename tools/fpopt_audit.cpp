@@ -27,6 +27,7 @@
 //
 // Exit codes: 0 all checks passed, 1 violations found, 2 usage/input error,
 // 3 the run exceeded the memory budget (no verdict).
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -116,8 +117,9 @@ Cli parse_args(const std::vector<std::string>& args) {
       try {
         std::size_t used = 0;
         sel.theta = std::stod(v, &used);
-        // Reject trailing garbage ("0.5xyz"), like parse_int does.
-        if (used != v.size()) throw std::invalid_argument(v);
+        // Reject trailing garbage ("0.5xyz"), like parse_int does, and
+        // "nan"/"inf", which the range check below cannot catch.
+        if (used != v.size() || !std::isfinite(sel.theta)) throw std::invalid_argument(v);
       } catch (const std::exception&) {
         throw UsageError("--theta needs a number, got '" + v + "'");
       }
@@ -335,6 +337,6 @@ int main(int argc, char** argv) {
     std::cerr << "fpopt_audit: cannot write " << cli.trace_json_path << '\n';
     return 2;
   }
-  session.write_json(file);
+  file << session.to_json();
   return code;
 }

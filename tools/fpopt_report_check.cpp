@@ -1,20 +1,20 @@
 // fpopt_report_check: schema-validate fpopt run reports and fpoptd
-// metrics snapshots.
+// metrics snapshots (the validators of src/telemetry/schema.h).
 //
 // Usage: fpopt_report_check [--metrics] <file> [more ...]
 //
 // Default (run-report) mode: each file must parse as JSON and contain at
 // least one embedded "fpopt_run_report" block (at any nesting depth —
 // --stats-json output has it at the top level, BENCH_*.json embeds one
-// per workload entry); every block must satisfy run-report schema v1
-// (src/telemetry/run_report.h).
+// per workload entry, an fpoptd response carries one as a member); every
+// block must satisfy run-report schema v1 (src/telemetry/run_report.h).
 //
-// --metrics mode (the `fpopt_metrics_check` entry point from ISSUE/CI
+// --metrics mode (the `fpopt_metrics_check` entry point of the CI
 // scripts): a file that starts with '{' is validated as a JSON metrics
 // snapshot — every embedded "fpopt_metrics" block must satisfy metrics
-// schema v1 (src/telemetry/metrics_schema.h). Any other file is
-// validated as Prometheus text exposition (HELP/TYPE consistency,
-// cumulative histogram buckets, +Inf terminators, _count agreement).
+// schema v1 (src/telemetry/metrics.h). Any other file is validated as
+// Prometheus text exposition (HELP/TYPE consistency, cumulative histogram
+// buckets, +Inf terminators, _count agreement).
 //
 // All files are checked even after a failure; the exit code reports the
 // worst outcome across them (parse failures outrank schema violations so
@@ -30,8 +30,7 @@
 #include <vector>
 
 #include "telemetry/json.h"
-#include "telemetry/metrics_schema.h"
-#include "telemetry/report_schema.h"
+#include "telemetry/schema.h"
 
 namespace {
 
@@ -55,32 +54,21 @@ bool looks_like_json(const std::string& text) {
   return false;
 }
 
-int check_metrics_file(const std::string& path, const std::string& text) {
-  if (looks_like_json(text)) {
-    const fpopt::telemetry::JsonParseResult parsed = fpopt::telemetry::parse_json(text);
+/// One file's exit code (see above); violations go to stderr.
+int check_file(const std::string& path, const std::string& text, bool metrics_mode) {
+  namespace telemetry = fpopt::telemetry;
+  std::vector<std::string> errors;
+  if (metrics_mode && !looks_like_json(text)) {
+    errors = telemetry::validate_prometheus_text(text);
+  } else {
+    const telemetry::JsonParseResult parsed = telemetry::parse_json(text);
     if (!parsed.value.has_value()) {
       std::cerr << path << ": " << parsed.error << '\n';
       return 3;
     }
-    const std::vector<std::string> errors =
-        fpopt::telemetry::validate_embedded_metrics(*parsed.value);
-    for (const std::string& e : errors) std::cerr << path << ": " << e << '\n';
-    return errors.empty() ? 0 : 1;
+    errors = metrics_mode ? telemetry::validate_embedded_metrics(*parsed.value)
+                          : telemetry::validate_embedded_run_reports(*parsed.value);
   }
-  const std::vector<std::string> errors =
-      fpopt::telemetry::validate_prometheus_text(text);
-  for (const std::string& e : errors) std::cerr << path << ": " << e << '\n';
-  return errors.empty() ? 0 : 1;
-}
-
-int check_report_file(const std::string& path, const std::string& text) {
-  const fpopt::telemetry::JsonParseResult parsed = fpopt::telemetry::parse_json(text);
-  if (!parsed.value.has_value()) {
-    std::cerr << path << ": " << parsed.error << '\n';
-    return 3;
-  }
-  const std::vector<std::string> errors =
-      fpopt::telemetry::validate_embedded_run_reports(*parsed.value);
   for (const std::string& e : errors) std::cerr << path << ": " << e << '\n';
   return errors.empty() ? 0 : 1;
 }
@@ -113,8 +101,7 @@ int main(int argc, char** argv) {
     std::ostringstream buf;
     buf << in.rdbuf();
 
-    const int rc = metrics_mode ? check_metrics_file(path, buf.str())
-                                : check_report_file(path, buf.str());
+    const int rc = check_file(path, buf.str(), metrics_mode);
     if (rc == 0) std::cout << path << ": ok\n";
     worst = std::max(worst, rc);
   }
